@@ -28,18 +28,16 @@ from .geometry import (PointSet, cone_norm, distance_set, enumerate_cone,
 from .pairs import (PairCounts, cone_lift_check, count_pairs,
                     predict_from_spectrum, sq_zr_fourier_residual)
 from .setfiles import read_pointset, write_pointset
-from .spectral import (KernelTable, SpectralMass, build_kernels,
-                       cone_fourier_formula, dft_indicator, kernels_for,
-                       masses_numeric, spectral_masses_exact,
+from .spectral import (SpectralMass, cone_fourier_formula, dft_indicator,
+                       kernels_for, masses_numeric, spectral_masses_exact,
                        sphere0_fourier_formula, verify_counting_lemma,
                        zero_mass_bounds_check)
 
 __all__ = [
     "BoundReport", "CaseTag", "FieldCtx", "FqdistError", "GaussSignPair",
-    "GenSpec", "KernelTable", "PairCounts", "PointSet", "SearchResult",
-    "SpectralMass", "__version__", "bound_sq_even_dim",
-    "bound_sq_even_generic", "bound_sq_odd_dim", "bound_sq_plus_zr",
-    "build_kernels", "case_tag", "check_all", "chi",
+    "GenSpec", "PairCounts", "PointSet", "SearchResult", "SpectralMass",
+    "__version__", "bound_sq_even_dim", "bound_sq_even_generic",
+    "bound_sq_odd_dim", "bound_sq_plus_zr", "case_tag", "check_all", "chi",
     "completing_square_check", "cone_fourier_formula", "cone_lift_check",
     "cone_norm", "count_pairs", "dft_indicator", "distance_set",
     "enumerate_cone", "enumerate_sphere_zero",

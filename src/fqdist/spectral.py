@@ -7,13 +7,18 @@ rational with denominator q^(2d), and it can be computed exactly with
 integer arithmetic: the character sum of each piece against a fixed
 vector v collapses, one scaling class at a time, to (q - 1) or -1.
 
+For v != 0 that character sum depends only on ||v||: the orthogonal group
+acts transitively on nonzero vectors of equal norm (Witt) and preserves
+each norm class.  So the kernels are three tables of q integers indexed
+by the norm, plus their values at the origin, and the closed-form sphere
+and cone transforms are functions of the norm too.
+
 Two independent pipelines are kept alive on purpose.  The exact one goes
-through integer kernel tables and `Fraction`; the numeric one goes
+through the integer kernel tables and `Fraction`; the numeric one goes
 through a complex DFT.  They must agree to float precision, and the
 tests hold them to that.
 """
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,16 +26,11 @@ import numpy as np
 
 from .characters import gauss_closed
 from .errors import EmptySetError, EnumerationTooLargeError, WrongParityError
-from .field import FieldCtx, make_field
-from .geometry import (PointSet, _sub_elementwise, cone_norm, norm,
-                       norm_table, pack_weights, space_coords)
+from .field import FieldCtx
+from .geometry import (PointSet, _sub_elementwise, cone_norm_table,
+                       norm_table, pack_weights, space_coords, unpack_coords)
 
 DFT_CAP = 10**6
-
-_KERNEL_MEMO = {}
-_INNER_SUM_MEMO = {}
-
-CACHE_ENV_VAR = "FQDIST_KERNEL_CACHE"
 
 
 def _check_transform_size(q: int, d: int):
@@ -81,42 +81,31 @@ def dft_indicator(A: PointSet) -> np.ndarray:
     return out
 
 
+@dataclass(frozen=True, eq=False)
 class KernelTable:
-    """Integer character sums of the three norm classes against every v.
+    """Integer character sums of the three norm classes, indexed by norm.
 
-    zero[v]  = sum over {m : ||m|| = 0}        of chi(m . v)
-    plus[v]  = sum over {m : eta(||m||) = +1}  of chi(m . v)
-    minus[v] = sum over {m : eta(||m||) = -1}  of chi(m . v)
+    For the frequency classes S_0 = {m : ||m|| = 0}, S_+ = {m : eta(||m||)
+    = +1} and S_- = {m : eta(||m||) = -1}, and any nonzero v,
 
-    All three are exact integers: the nonzero frequencies split into
-    scaling classes {t * rep : t != 0} that stay inside one norm class,
-    and each class contributes q - 1 when rep . v = 0 and -1 otherwise.
-    Arrays are indexed by the packed encoding of v.
+    zero[||v||]  = sum over m in S_0 of chi(m . v)
+    plus[||v||]  = sum over m in S_+ of chi(m . v)
+    minus[||v||] = sum over m in S_- of chi(m . v)
+
+    Each array has length q; an entry whose norm no nonzero vector takes
+    is 0.  At v = 0 every character is 1, so the sums are the class sizes
+    origin = (|S_0|, |S_+|, |S_-|).  All values are exact integers: the
+    nonzero frequencies split into scaling classes {t * rep : t != 0}
+    that stay inside one norm class, and each class contributes q - 1
+    when rep . v = 0 and -1 otherwise.
     """
 
-    def __init__(self, ctx: FieldCtx, d: int, zero, plus, minus):
-        self.ctx = ctx
-        self.d = d
-        self.zero = zero
-        self.plus = plus
-        self.minus = minus
-
-    def save(self, path):
-        """Write the table to an .npz archive (portable across runs)."""
-        np.savez_compressed(
-            path, p=self.ctx.p, ell=self.ctx.ell, d=self.d,
-            modulus=np.asarray(self.ctx.modulus, dtype=np.int64),
-            zero=self.zero, plus=self.plus, minus=self.minus)
-
-    @classmethod
-    def load(cls, path):
-        with np.load(path) as data:
-            ctx = make_field(int(data["p"]), int(data["ell"]))
-            if tuple(int(c) for c in data["modulus"]) != ctx.modulus:
-                raise ValueError(f"cache {path} uses a non-canonical modulus")
-            return cls(ctx, int(data["d"]),
-                       data["zero"].copy(), data["plus"].copy(),
-                       data["minus"].copy())
+    ctx: FieldCtx
+    d: int
+    zero: np.ndarray
+    plus: np.ndarray
+    minus: np.ndarray
+    origin: tuple
 
 
 def _scaling_class_reps(ctx, d: int) -> np.ndarray:
@@ -136,56 +125,39 @@ def _scaling_class_reps(ctx, d: int) -> np.ndarray:
     return np.concatenate(blocks, axis=0)
 
 
-def build_kernels(ctx: FieldCtx, d: int) -> KernelTable:
-    """Exact integer kernel tables for dimension d over ctx."""
+def kernels_for(ctx: FieldCtx, d: int) -> KernelTable:
+    """Exact norm-indexed kernel tables for dimension d over ctx.
+
+    Takes one nonzero vector per norm value and sums characters against
+    it, one scaling class of frequencies at a time: O(q^d) time and O(q)
+    memory.  Uses only field arithmetic, never pair counts.
+    """
     _check_transform_size(ctx.q, d)
     q = ctx.q
     volume = q**d
-    reps = _scaling_class_reps(ctx, d)
-    weights = pack_weights(q, d)
     ntab = norm_table(ctx, d)
-    rep_eta = ctx.eta_table[ntab[reps @ weights]]
-    cols = space_coords(ctx, d)
-    # the origin frequency has zero norm and contributes chi(0) = 1 at every v
-    zero = np.ones(volume, dtype=np.int64)
-    plus = np.zeros(volume, dtype=np.int64)
-    minus = np.zeros(volume, dtype=np.int64)
-    buckets = ((0, zero), (1, plus), (-1, minus))
-    for start, dots in _dot_chunks(ctx, reps, cols):
-        hit = dots == 0
+    reps = _scaling_class_reps(ctx, d)
+    rep_eta = ctx.eta_table[ntab[reps @ pack_weights(q, d)]]
+    # the first nonzero packed vector of each norm value that occurs
+    first = np.full(q, volume, dtype=np.int64)
+    np.minimum.at(first, ntab[1:], np.arange(1, volume, dtype=np.int64))
+    norms = np.nonzero(first < volume)[0]
+    vecs = unpack_coords(q, d, first[norms])
+    signs = (0, 1, -1)
+    hits = {sign: np.zeros(len(norms), dtype=np.int64) for sign in signs}
+    for start, dots in _dot_chunks(ctx, reps, vecs):
         etas = rep_eta[start:start + dots.shape[0]]
-        for sign, target in buckets:
-            rows = np.nonzero(etas == sign)[0]
-            if rows.size:
-                cnt = hit[rows].sum(axis=0, dtype=np.int64)
-                target += q * cnt - rows.size
-    return KernelTable(ctx, d, zero, plus, minus)
-
-
-def kernels_for(ctx: FieldCtx, d: int) -> KernelTable:
-    """Memoized kernel tables; optionally persisted to disk.
-
-    If the environment variable FQDIST_KERNEL_CACHE names a directory,
-    tables are loaded from / saved to kern_p<p>_e<ell>_d<d>.npz there.
-    """
-    key = (ctx.p, ctx.ell, d)
-    table = _KERNEL_MEMO.get(key)
-    if table is not None:
-        return table
-    cache_dir = os.environ.get(CACHE_ENV_VAR)
-    path = None
-    if cache_dir:
-        path = os.path.join(
-            cache_dir, f"kern_p{ctx.p}_e{ctx.ell}_d{d}.npz")
-        if os.path.exists(path):
-            table = KernelTable.load(path)
-    if table is None:
-        table = build_kernels(ctx, d)
-        if path is not None:
-            os.makedirs(cache_dir, exist_ok=True)
-            table.save(path)
-    _KERNEL_MEMO[key] = table
-    return table
+        for sign in signs:
+            hits[sign] += (dots[etas == sign] == 0).sum(axis=0)
+    tables, sizes = {}, {}
+    for sign in signs:
+        sizes[sign] = int((rep_eta == sign).sum())
+        tables[sign] = np.zeros(q, dtype=np.int64)
+        tables[sign][norms] = q * hits[sign] - sizes[sign]
+    # the origin frequency has zero norm and contributes chi(0) = 1
+    tables[0][norms] += 1
+    origin = ((q - 1) * sizes[0] + 1, (q - 1) * sizes[1], (q - 1) * sizes[-1])
+    return KernelTable(ctx, d, tables[0], tables[1], tables[-1], origin)
 
 
 @dataclass(frozen=True)
@@ -230,11 +202,23 @@ def spectral_masses_exact(A: PointSet, kernels: KernelTable) -> SpectralMass:
     if kernels.ctx is not ctx or kernels.d != d:
         raise ValueError("kernel table does not match the point set")
     counts = _diff_counts(A)
+    # fold the nonzero differences by norm; Python ints from here on, so
+    # no product or sum can wrap
+    by_norm = np.zeros(ctx.q, dtype=np.int64)
+    np.add.at(by_norm, norm_table(ctx, d)[1:], counts[1:])
+    by_norm = by_norm.tolist()
+    at_origin = int(counts[0])
     denom = ctx.q**(2 * d)
-    mass = SpectralMass(
-        zero=Fraction(int(counts @ kernels.zero), denom),
-        plus=Fraction(int(counts @ kernels.plus), denom),
-        minus=Fraction(int(counts @ kernels.minus), denom))
+
+    def fold(table, origin_value):
+        total = at_origin * origin_value + sum(
+            c * k for c, k in zip(by_norm, table.tolist()))
+        return Fraction(total, denom)
+
+    zero0, plus0, minus0 = kernels.origin
+    mass = SpectralMass(zero=fold(kernels.zero, zero0),
+                        plus=fold(kernels.plus, plus0),
+                        minus=fold(kernels.minus, minus0))
     if min(mass.zero, mass.plus, mass.minus) < 0:
         raise ArithmeticError("negative spectral mass; kernel table corrupt")
     if mass.total() != Fraction(len(A), ctx.q**d):
@@ -256,10 +240,6 @@ def masses_numeric(A: PointSet):
 def _inner_sum_table(ctx, n: int, denom_scale: int) -> np.ndarray:
     """Table over t in F_q of sum_{s != 0} eta^n(s) chi(t / (c*s)) where
     c is the field element denom_scale mod p (c = +-4 in practice)."""
-    key = (ctx.p, ctx.ell, n % 2, denom_scale % ctx.p)
-    cached = _INNER_SUM_MEMO.get(key)
-    if cached is not None:
-        return cached
     c = denom_scale % ctx.p
     mul_tab = ctx.pair_tables[2]
     out = np.zeros(ctx.q, dtype=np.complex128)
@@ -267,33 +247,31 @@ def _inner_sum_table(ctx, n: int, denom_scale: int) -> np.ndarray:
         coeff = ctx.eta(s) if n % 2 else 1
         args = mul_tab[:, ctx.inv(ctx.mul(c, s))]
         out += coeff * ctx.chi_table[args]
-    _INNER_SUM_MEMO[key] = out
     return out
 
 
-def cone_fourier_formula(ctx, n: int, m) -> complex:
-    """Closed-form Fourier coefficient of the cone {x : ||x||_C = 0} in
-    F_q^n, evaluated at the frequency vector m."""
-    t = cone_norm(ctx, m)
+def cone_fourier_formula(ctx, n: int) -> np.ndarray:
+    """Closed-form Fourier transform of the cone {x : ||x||_C = 0} in
+    F_q^n, as a complex array over packed frequencies m (the layout of
+    dft_indicator).  Away from m = 0 it depends only on ||m||_C."""
     inner = _inner_sum_table(ctx, n, -4)
     g1 = gauss_closed(ctx)
-    value = ctx.q**(-n - 1) * ctx.eta(ctx.neg(1)) * g1**n * inner[t]
-    if all(c == 0 for c in m):
-        value += 1.0 / ctx.q
-    return complex(value)
+    out = (ctx.q**(-n - 1) * ctx.eta(ctx.neg(1)) * g1**n
+           * inner[cone_norm_table(ctx, n)])
+    out[0] += 1.0 / ctx.q
+    return out
 
 
-def sphere0_fourier_formula(ctx, d: int, m) -> complex:
-    """Closed-form Fourier coefficient of the zero sphere {x : ||x|| = 0}
-    in F_q^d, evaluated at the frequency vector m."""
-    t = norm(ctx, m)
+def sphere0_fourier_formula(ctx, d: int) -> np.ndarray:
+    """Closed-form Fourier transform of the zero sphere {x : ||x|| = 0}
+    in F_q^d, as a complex array over packed frequencies m (the layout
+    of dft_indicator).  Away from m = 0 it depends only on ||m||."""
     inner = _inner_sum_table(ctx, d, 4)
     g1 = gauss_closed(ctx)
     eta_m1 = ctx.eta(ctx.neg(1))
-    value = ctx.q**(-d - 1) * eta_m1**d * g1**d * inner[t]
-    if all(c == 0 for c in m):
-        value += 1.0 / ctx.q
-    return complex(value)
+    out = ctx.q**(-d - 1) * eta_m1**d * g1**d * inner[norm_table(ctx, d)]
+    out[0] += 1.0 / ctx.q
+    return out
 
 
 def verify_counting_lemma(E: PointSet, V: PointSet):

@@ -1,0 +1,36 @@
+"""Smoke test of the names the benchmark under bench/ calls.
+
+The set-up probe and the span tracer import fqdist by name and patch its
+module globals, so they run in subprocesses with the tree's src on
+PYTHONPATH.  A rename that would break the benchmark fails here first.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# (p, ell, d, build kernels) for the cells of the four workloads
+PROBE_CELLS = ["7", "1", "3", "1", "3", "2", "3", "1",
+               "43", "1", "3", "1", "7", "1", "3", "0"]
+
+
+def run_bench_script(*args):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_setup_probe_runs_on_workload_cells():
+    out = run_bench_script("bench/setup_probe.py", *PROBE_CELLS)
+    assert out.returncode == 0, out.stderr
+    assert float(out.stdout) > 0
+
+
+def test_tracer_wraps_and_runs_the_cli(tmp_path):
+    spans = tmp_path / "spans.npz"
+    out = run_bench_script("bench/tracer.py", str(spans), "--version")
+    assert out.returncode == 0, out.stderr
+    assert spans.exists()

@@ -143,13 +143,27 @@ def test_usage_errors_exit_one(capsys):
 
 
 def test_domain_and_io_errors_exit_one(tmp_path, capsys):
-    assert main(["gauss", "--p", "4"]) == 1             # 4 is not prime
-    assert main(["analyze", "--set", str(tmp_path / "missing.txt")]) == 1
     bad = tmp_path / "bad.txt"
     bad.write_text("fq p=3 ell=1 d=2 mod=0,1\n9,9\n")
-    assert main(["analyze", "--set", str(bad)]) == 1    # parse error
-    err = capsys.readouterr().err
-    assert "error" in err
+    cases = [
+        ["gauss", "--p", "4"],                              # 4 is not prime
+        ["analyze", "--set", str(tmp_path / "missing.txt")],
+        ["analyze", "--set", str(bad)],                     # parse error
+        ["verify", "--p", "3", "--d", "0"],
+        ["verify", "--p", "3", "--d", "2", "--trials", "0"],
+        ["verify", "--p", "3", "--d", "2", "--trials", "-5"],
+        ["verify", "--p", "3", "--d", "2", "--jobs", "0"],
+        ["search-square", "--p", "3", "--d", "2", "--restarts", "-1"],
+        ["coverage", "--p", "5", "--d", "3", "--size", "10",
+         "--seeds", ",x"],
+    ]
+    for argv in cases:
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert captured.out == "", argv
+        assert len(lines) == 1 and lines[0].startswith("fqdist: error:"), \
+            (argv, captured.err)
 
 
 def test_violations_exit_two(capsys, monkeypatch):

@@ -5,15 +5,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fqdist import (KernelTable, PointSet, build_kernels,
-                    cone_fourier_formula, dft_indicator, enumerate_cone,
-                    enumerate_sphere_zero, kernels_for, make_field,
-                    masses_numeric, space_coords, spectral_masses_exact,
-                    sphere0_fourier_formula, verify_counting_lemma,
-                    zero_mass_bounds_check)
+from fqdist import (PointSet, cone_fourier_formula, dft_indicator,
+                    enumerate_cone, enumerate_sphere_zero, kernels_for,
+                    make_field, masses_numeric, space_coords,
+                    spectral_masses_exact, sphere0_fourier_formula,
+                    verify_counting_lemma, zero_mass_bounds_check)
 from fqdist.errors import EnumerationTooLargeError, WrongParityError
 from fqdist.geometry import norm_table, pack_weights, unpack_coords
-from fqdist.spectral import _KERNEL_MEMO
+from fqdist.spectral import _dot_chunks, _scaling_class_reps
 
 CELLS = [(3, 1, 2), (5, 1, 2), (3, 2, 2), (3, 1, 3)]
 
@@ -40,14 +39,62 @@ def brute_kernels(ctx, d):
     return out
 
 
+def dense_kernels(ctx, d):
+    """Kernel tables over every packed v, one row of scaling-class dot
+    products per representative: O(q^(2d-1)) time and O(q^d) memory."""
+    q = ctx.q
+    volume = q**d
+    reps = _scaling_class_reps(ctx, d)
+    ntab = norm_table(ctx, d)
+    rep_eta = ctx.eta_table[ntab[reps @ pack_weights(q, d)]]
+    cols = space_coords(ctx, d)
+    # the origin frequency has zero norm and contributes chi(0) = 1 at every v
+    out = {0: np.ones(volume, dtype=np.int64),
+           1: np.zeros(volume, dtype=np.int64),
+           -1: np.zeros(volume, dtype=np.int64)}
+    for start, dots in _dot_chunks(ctx, reps, cols):
+        hit = dots == 0
+        etas = rep_eta[start:start + dots.shape[0]]
+        for sign, target in out.items():
+            rows = np.nonzero(etas == sign)[0]
+            if rows.size:
+                target += q * hit[rows].sum(axis=0, dtype=np.int64) - rows.size
+    return out
+
+
+def expand(ker):
+    """The norm-indexed tables spread over every packed v, keyed by the
+    eta class like dense_kernels and brute_kernels."""
+    ntab = norm_table(ker.ctx, ker.d)
+    out = {}
+    for sign, table, at_origin in zip((0, 1, -1),
+                                      (ker.zero, ker.plus, ker.minus),
+                                      ker.origin):
+        out[sign] = table[ntab]
+        out[sign][0] = at_origin
+    return out
+
+
 @pytest.mark.parametrize("p,ell,d", [(3, 1, 2), (3, 1, 3), (3, 2, 2)])
 def test_kernels_match_direct_character_sums(p, ell, d):
+    got = expand(kernels_for(make_field(p, ell), d))
+    want = brute_kernels(make_field(p, ell), d)
+    for sign in (0, 1, -1):
+        assert np.allclose(got[sign], want[sign], atol=1e-6)
+
+
+@pytest.mark.parametrize("p,ell,d", [(3, 1, 1), (3, 1, 2), (5, 1, 2),
+                                     (3, 2, 2), (3, 1, 3), (7, 1, 3),
+                                     (3, 2, 3), (5, 1, 4), (3, 1, 5),
+                                     (13, 1, 3)])
+def test_norm_indexed_kernels_equal_dense_oracle(p, ell, d):
     ctx = make_field(p, ell)
     ker = kernels_for(ctx, d)
-    want = brute_kernels(ctx, d)
-    assert np.allclose(ker.zero, want[0], atol=1e-6)
-    assert np.allclose(ker.plus, want[1], atol=1e-6)
-    assert np.allclose(ker.minus, want[-1], atol=1e-6)
+    for table in (ker.zero, ker.plus, ker.minus):
+        assert table.shape == (ctx.q,)
+    got, want = expand(ker), dense_kernels(ctx, d)
+    for sign in (0, 1, -1):
+        assert np.array_equal(got[sign], want[sign])
 
 
 @pytest.mark.parametrize("p,ell,d", CELLS + [(7, 1, 2), (5, 1, 3)])
@@ -55,16 +102,19 @@ def test_kernel_partition_and_symmetry(p, ell, d):
     ctx = make_field(p, ell)
     q = ctx.q
     ker = kernels_for(ctx, d)
-    # the three kernels sum to the full character sum q^d * delta_0
+    # the three kernels sum to the full character sum q^d * delta_0: the
+    # origin values to q^d, and the tables to 0 at every norm a nonzero
+    # vector takes
+    assert sum(ker.origin) == q**d
+    taken = np.unique(norm_table(ctx, d)[1:])
     total = ker.zero + ker.plus + ker.minus
-    assert total[0] == q**d
-    assert not total[1:].any()
-    assert ker.zero[0] == len(enumerate_sphere_zero(ctx, d))
-    # each kernel is even: k(-v) = k(v)
+    assert not total[taken].any()
+    assert ker.origin[0] == len(enumerate_sphere_zero(ctx, d))
+    # each expanded kernel is even: k(-v) = k(v)
     neg = np.array([[ctx.neg(int(c)) for c in row]
                     for row in space_coords(ctx, d)])
     perm = neg @ pack_weights(q, d)
-    for arr in (ker.zero, ker.plus, ker.minus):
+    for arr in expand(ker).values():
         assert np.array_equal(arr, arr[perm])
 
 
@@ -110,9 +160,7 @@ def test_cone_transform_closed_form(p, ell, n):
     ctx = make_field(p, ell)
     cone = enumerate_cone(ctx, n)
     chat = dft_indicator(cone)
-    worst = max(abs(chat[i] - cone_fourier_formula(ctx, n, tuple(m)))
-                for i, m in enumerate(space_coords(ctx, n)))
-    assert worst < 1e-9
+    assert np.abs(chat - cone_fourier_formula(ctx, n)).max() < 1e-9
     assert abs(chat[0] - len(cone) / ctx.q**n) < 1e-12
 
 
@@ -122,9 +170,7 @@ def test_sphere_transform_closed_form(p, ell, d):
     ctx = make_field(p, ell)
     sphere = enumerate_sphere_zero(ctx, d)
     shat = dft_indicator(sphere)
-    worst = max(abs(shat[i] - sphere0_fourier_formula(ctx, d, tuple(m)))
-                for i, m in enumerate(space_coords(ctx, d)))
-    assert worst < 1e-9
+    assert np.abs(shat - sphere0_fourier_formula(ctx, d)).max() < 1e-9
     assert abs(shat[0] - len(sphere) / ctx.q**d) < 1e-12
 
 
@@ -140,35 +186,6 @@ def test_counting_identity_on_random_sets():
                     for x in E for y in E)
         assert direct == brute
         assert abs(direct - fourier) < 1e-6
-
-
-def test_kernel_table_save_load_round_trip(tmp_path):
-    ctx = make_field(3, 2)
-    table = build_kernels(ctx, 2)
-    path = tmp_path / "k.npz"
-    table.save(path)
-    back = KernelTable.load(path)
-    assert back.ctx is ctx
-    assert back.d == 2
-    assert np.array_equal(back.zero, table.zero)
-    assert np.array_equal(back.plus, table.plus)
-    assert np.array_equal(back.minus, table.minus)
-
-
-def test_kernel_disk_cache(tmp_path, monkeypatch):
-    ctx = make_field(3)
-    fresh = build_kernels(ctx, 2)
-    monkeypatch.setenv("FQDIST_KERNEL_CACHE", str(tmp_path))
-    _KERNEL_MEMO.pop((3, 1, 2), None)
-    first = kernels_for(ctx, 2)  # builds, then persists
-    assert (tmp_path / "kern_p3_e1_d2.npz").exists()
-    _KERNEL_MEMO.pop((3, 1, 2), None)
-    second = kernels_for(ctx, 2)  # this time served from disk
-    for a, b in ((fresh.zero, second.zero), (fresh.plus, second.plus),
-                 (fresh.minus, second.minus)):
-        assert np.array_equal(a, b)
-    assert np.array_equal(first.zero, second.zero)
-    _KERNEL_MEMO.pop((3, 1, 2), None)
 
 
 def test_zero_mass_bounds():
