@@ -15,7 +15,7 @@ from typing import Optional
 
 from .errors import UnsupportedCaseError, WrongParityError
 from .geometry import PointSet
-from .pairs import count_pairs
+from .pairs import PairCounts, count_pairs
 
 
 def parity_case(d: int, q: int) -> int:
@@ -186,11 +186,11 @@ def _report(name, tag, lhs, rhs, branch=None) -> BoundReport:
                        holds=lhs <= rhs, slack=rhs - lhs, branch=branch)
 
 
-def check_all(A: PointSet) -> list:
-    """Evaluate every applicable bound against the measured pair counts."""
+def check_all(A: PointSet, counts: PairCounts) -> list:
+    """Evaluate every applicable bound against the measured pair counts
+    `counts = count_pairs(A)`, computed once by the caller."""
     d, q, n = A.d, A.ctx.q, len(A)
     tag = case_tag(d, q)
-    counts = count_pairs(A)
     reports = [_report("sq_plus_zr", tag, counts.sq + counts.zr,
                        bound_sq_plus_zr(d, q, n))]
     if d % 2 == 1:

@@ -154,7 +154,7 @@ def _check_one_set(task) -> dict:
               {"counted": [counts.sq, counts.zr, counts.nonsq],
                "predicted": [predicted.sq, predicted.zr, predicted.nonsq]})
     if (n * q)**2 <= PAIR_CAP:
-        incidences, expected = cone_lift_check(A)
+        incidences, expected = cone_lift_check(A, counts)
         check("cone_lift", incidences == expected,
               {"incidences": incidences, "expected": expected})
     if masses is not None:
@@ -163,9 +163,9 @@ def _check_one_set(task) -> dict:
         check("mass_lower_bound", masses.zero >= Fraction(n * n, q**(2 * d)),
               {"zero": rat(masses.zero)})
         if d % 2 == 1 and d >= 3:
-            zm = zero_mass_bounds_check(A)
+            zm = zero_mass_bounds_check(A, masses)
             check("zero_mass_refined", zm.holds, {"zero": rat(zm.mass_zero)})
-    for rep in check_all(A):
+    for rep in check_all(A, counts):
         out["bound_rows"].append({
             "name": rep.name, "case": rep.case.case_id,
             "branch": rep.branch, "lhs": rat(rep.lhs), "rhs": rat(rep.rhs),
@@ -173,7 +173,7 @@ def _check_one_set(task) -> dict:
         check(f"bound_{rep.name}", rep.holds,
               {"lhs": rat(rep.lhs), "rhs": rat(rep.rhs)})
     if q**d <= MASTER_CAP:
-        residual = sq_zr_fourier_residual(A)
+        residual = sq_zr_fourier_residual(A, counts)
         check("direct_identity", residual < 1e-6 * n * n,
               {"residual": residual})
     return out
@@ -200,7 +200,7 @@ def _run_formula_checks(ctx, d: int, tasks, tally: "_Tally", cell: dict):
         if tasks:
             p_, ell_, _, _, pts = tasks[-1]
             E = PointSet(ctx, d, pts)
-            direct, fourier = verify_counting_lemma(E, sphere)
+            direct, fourier = verify_counting_lemma(E, sphere, shat)
             tally.hit("counting_lemma", abs(direct - fourier) < 1e-6,
                       dict(cell, direct=direct, fourier=fourier))
 
@@ -292,7 +292,7 @@ def cmd_analyze(args) -> int:
                                  "minus": rat(masses.minus)}
     if d >= 2:
         bound_rows = []
-        for rep in check_all(A):
+        for rep in check_all(A, counts):
             tally.hit(f"bound_{rep.name}", rep.holds,
                       {"lhs": rat(rep.lhs), "rhs": rat(rep.rhs)})
             bound_rows.append({
@@ -302,7 +302,7 @@ def cmd_analyze(args) -> int:
                 "slack": rat(rep.slack)})
         results["bounds"] = bound_rows
     if masses is not None and d % 2 == 1 and d >= 3:
-        zm = zero_mass_bounds_check(A)
+        zm = zero_mass_bounds_check(A, masses)
         tally.hit("zero_mass_refined", zm.holds)
         results["zero_mass"] = {
             "mass_zero": rat(zm.mass_zero), "lower": rat(zm.lower),

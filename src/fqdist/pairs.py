@@ -74,9 +74,10 @@ def count_pairs(A: PointSet) -> PairCounts:
     return PairCounts(sq=sq, zr=zr, nonsq=n * n - sq - zr)
 
 
-def cone_lift_check(A: PointSet):
+def cone_lift_check(A: PointSet, counts: PairCounts):
     """Count incidences of the zero cone on the lifted set E = A x F_q,
-    and the value q * (2*sq + zr) it must equal.
+    and the value q * (2*sq + zr) it must equal, where counts is
+    `count_pairs(A)`, computed once by the caller.
 
     Returns (incidences, predicted).  The left side is a genuine
     enumeration over E x E; nothing is shared with `count_pairs` beyond
@@ -109,7 +110,6 @@ def cone_lift_check(A: PointSet):
             for i in range(1, d):
                 acc = add_tab[acc, sqs[:, :, i]]
             incidences += int((sub_tab[acc, sqs[:, :, d]] == 0).sum())
-    counts = count_pairs(A)
     predicted = q * (2 * counts.sq + counts.zr)
     return incidences, predicted
 
@@ -156,10 +156,11 @@ def predict_from_spectrum(A: PointSet, masses: SpectralMass) -> PairCounts:
     return PairCounts(sq=sq_i, zr=zr_i, nonsq=nonsq)
 
 
-def sq_zr_fourier_residual(A: PointSet) -> float:
+def sq_zr_fourier_residual(A: PointSet, counts: PairCounts) -> float:
     """Residual of the direct spectral identity for sq + zr/2.
 
-    Evaluates sq + zr/2 once by counting and once as
+    Evaluates sq + zr/2 once from counts (`count_pairs(A)`, computed by
+    the caller) and once as
     |A|^2/2 + (q^(d-1) eta(-1)^d G_1^(d+1) / 2) *
         sum_m sum_{s != 0} eta^(d+1)(s) chi(s ||m||) |A_hat(m)|^2
     in floating point, and returns the absolute difference.
@@ -168,7 +169,6 @@ def sq_zr_fourier_residual(A: PointSet) -> float:
     if q**d > MASTER_CAP:
         raise EnumerationTooLargeError(
             f"q^d = {q**d} exceeds direct-identity cap {MASTER_CAP}")
-    counts = count_pairs(A)
     exact = counts.sq + counts.zr / 2
     power = np.abs(dft_indicator(A))**2
     mul_tab = ctx.pair_tables[2]

@@ -274,10 +274,12 @@ def sphere0_fourier_formula(ctx, d: int) -> np.ndarray:
     return out
 
 
-def verify_counting_lemma(E: PointSet, V: PointSet):
+def verify_counting_lemma(E: PointSet, V: PointSet, vhat: np.ndarray):
     """Both sides of: #{(x, y) in E^2 : x - y in V} equals
     q^(2n) sum_m V_hat(m) |E_hat(m)|^2.
 
+    vhat is `dft_indicator(V)`, taken from the caller, which has
+    usually computed it already to check V's closed-form transform.
     Returns (direct, fourier) with direct an integer and fourier the
     real part of the spectral side.
     """
@@ -289,7 +291,6 @@ def verify_counting_lemma(E: PointSet, V: PointSet):
     indicator = np.zeros(volume, dtype=np.int64)
     indicator[V.packed()] = 1
     direct = int(_diff_counts(E) @ indicator)
-    vhat = dft_indicator(V)
     ehat = dft_indicator(E)
     fourier = volume**2 * np.sum(vhat * np.abs(ehat)**2)
     return direct, float(fourier.real)
@@ -308,13 +309,17 @@ class ZeroMassReport:
     slack_upper: Fraction
 
 
-def zero_mass_bounds_check(A: PointSet) -> ZeroMassReport:
+def zero_mass_bounds_check(A: PointSet,
+                           masses: SpectralMass) -> ZeroMassReport:
     """Check |A|^2/q^(2d) <= mass <= min(|A|/q^d, |A|/q^(d+1) + |A|^2/q^((3d+1)/2))
-    for the exact zero-norm mass; odd dimension d >= 3 only."""
+    for the exact zero-norm mass; odd dimension d >= 3 only.
+
+    masses is `spectral_masses_exact(A, ...)`, computed once by the caller.
+    """
     d, q, n = A.d, A.ctx.q, len(A)
     if d % 2 == 0 or d < 3:
         raise WrongParityError(f"refined zero-mass bound needs odd d >= 3, got d={d}")
-    mass = spectral_masses_exact(A, kernels_for(A.ctx, d)).zero
+    mass = masses.zero
     lower = Fraction(n * n, q**(2 * d))
     upper_p = Fraction(n, q**d)
     upper_r = Fraction(n, q**(d + 1)) + Fraction(n * n, q**((3 * d + 1) // 2))

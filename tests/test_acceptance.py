@@ -145,7 +145,7 @@ def test_criterion_4_flagship_oracle_equivalence(capfd, sweep):
             A, counts = rec["A"], rec["counts"]
             predicted = predict_from_spectrum(A, rec["masses"])
             assert predicted == counts, (rec["cell"], len(A))
-            incidences, expected = cone_lift_check(A)
+            incidences, expected = cone_lift_check(A, counts)
             assert incidences == expected, (rec["cell"], len(A))
             assert expected == A.ctx.q * (2 * counts.sq + counts.zr)
 
@@ -161,14 +161,14 @@ def test_criterion_5_plancherel_and_mass_invariants(capfd, sweep):
             assert min(m.zero, m.plus, m.minus) >= 0
             assert m.zero >= Fraction(n * n, q**(2 * d))
             if d % 2 == 1 and d >= 3:
-                assert zero_mass_bounds_check(A).holds, (rec["cell"], n)
+                assert zero_mass_bounds_check(A, m).holds, (rec["cell"], n)
 
 
 def test_criterion_6_bound_soundness_and_equalities(capfd, sweep):
     label = "every exact bound holds; full spaces attain equality"
     with _Verdict(capfd, 6, label):
         for rec in sweep:
-            for rep in check_all(rec["A"]):
+            for rep in check_all(rec["A"], rec["counts"]):
                 assert rep.holds, (rec["cell"], len(rec["A"]), rep)
         for d, q in SWEEP_CELLS:
             ctx = make_field(q)
@@ -180,7 +180,7 @@ def test_criterion_6_bound_soundness_and_equalities(capfd, sweep):
                 generate(ctx, d, GenSpec(kind="sphere_slice", radius=0)),
             ]
             for A in structured:
-                for rep in check_all(A):
+                for rep in check_all(A, count_pairs(A)):
                     assert rep.holds, (d, q, len(A), rep)
         # equality cases, re-derived by the brute-force oracle
         for d, q, total, sq in ((2, 3, 45, 36), (2, 5, 425, 200),

@@ -5,10 +5,13 @@ module globals, so they run in subprocesses with the tree's src on
 PYTHONPATH.  A rename that would break the benchmark fails here first.
 """
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -34,3 +37,17 @@ def test_tracer_wraps_and_runs_the_cli(tmp_path):
     out = run_bench_script("bench/tracer.py", str(spans), "--version")
     assert out.returncode == 0, out.stderr
     assert spans.exists()
+
+
+def test_tracer_counts_work_of_a_verify_run(tmp_path):
+    # the tracer reads the point set from each call's first positional
+    # argument; a call that passes it otherwise fails the run here
+    spans = tmp_path / "s.npz"
+    out = run_bench_script("bench/tracer.py", str(spans), "verify",
+                           "--p", "3", "--d", "3", "--trials", "2",
+                           "--size-min", "4", "--size-max", "6")
+    assert out.returncode == 0, out.stderr
+    with np.load(spans) as data:
+        work = json.loads(str(data["meta"]))["work"]
+    for name in ("count_pairs", "cone_lift_check", "dft_indicator"):
+        assert work.get(name, 0) > 0, (name, work)

@@ -99,7 +99,7 @@ def test_bounds_hold_on_a_random_sweep():
                 picks = rng.choice(volume, size=size, replace=False)
                 A = PointSet(ctx, d,
                              map(tuple, unpack_coords(q, d, picks)))
-                for rep in check_all(A):
+                for rep in check_all(A, count_pairs(A)):
                     assert rep.holds, (d, q, size, rep)
                     assert rep.lhs <= rep.rhs
                     assert rep.slack == rep.rhs - rep.lhs
@@ -109,11 +109,12 @@ def test_report_rows_shape():
     ctx = make_field(5)
     A = PointSet(ctx, 3, [(0, 0, 0), (1, 1, 0)])  # distance 2, a non-square
     assert not is_square_distance_set(A)
-    assert [r.name for r in check_all(A)] == ["sq_plus_zr", "sq_odd_dim"]
+    assert [r.name for r in check_all(A, count_pairs(A))] == [
+        "sq_plus_zr", "sq_odd_dim"]
     B = PointSet(ctx, 2, [(0, 0), (1, 0)])  # distance 1, a square
     assert is_square_distance_set(B)
-    assert [r.name for r in check_all(B)] == [
+    assert [r.name for r in check_all(B, count_pairs(B))] == [
         "sq_plus_zr", "sq_even_dim", "sq_even_generic", "square_set_size"]
-    for rep in check_all(B):
+    for rep in check_all(B, count_pairs(B)):
         assert rep.holds
         assert rep.case.case_id == 4

@@ -7,6 +7,8 @@ from pathlib import Path
 import jsonschema
 
 import fqdist.cli as cli
+import fqdist.pairs as pairs
+import fqdist.spectral as spectral
 from fqdist import GenSpec, generate, make_field, write_pointset
 from fqdist.cli import main
 
@@ -74,6 +76,33 @@ def test_verify_command(tmp_path, capsys):
     assert set(r["name"] for r in rows) <= {
         "sq_plus_zr", "sq_even_dim", "sq_even_generic", "square_set_size"}
     assert all(r["holds"] == "True" for r in rows)
+
+
+def test_verify_computes_each_intermediate_once(rebind, capsys):
+    calls = {}
+
+    def counted(real):
+        calls[real.__name__] = 0
+
+        def wrapper(*args, **kwargs):
+            calls[real.__name__] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for module, name in ((pairs, "count_pairs"),
+                         (spectral, "spectral_masses_exact"),
+                         (spectral, "dft_indicator")):
+        rebind(module, name, counted)
+    code, report = run(capsys, "verify", "--p", "5", "--d", "3",
+                       "--trials", "3")
+    assert code == 0
+    sets = report["results"]["sets"]
+    assert sets == 3
+    assert calls["count_pairs"] == sets
+    assert calls["spectral_masses_exact"] == sets
+    # one per set for the direct identity, then the cone, the sphere
+    # (shared by its closed form and the counting lemma) and E
+    assert calls["dft_indicator"] == sets + 3
 
 
 def test_verify_parallel_matches_sequential(tmp_path, capsys):

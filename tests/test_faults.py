@@ -1,4 +1,5 @@
-"""Fault injection: with one ingredient of the spectral pipeline broken,
+"""Fault injection: with one ingredient of the spectral pipeline, of the
+pair counts every per-set check shares, or of the field tables broken,
 the checker reports a violation and exits 2 instead of passing or
 crashing."""
 
@@ -7,6 +8,7 @@ import json
 
 import pytest
 
+import fqdist.bounds as bounds
 import fqdist.cli as cli
 import fqdist.pairs as pairs
 import fqdist.spectral as spectral
@@ -65,3 +67,56 @@ def test_analyze_reports_injected_fault(fault, tmp_path, monkeypatch,
     fault(monkeypatch)
     assert main(["analyze", "--set", str(path)]) == 2
     assert "oracle_equivalence" in violated_checks(capsys)
+
+
+# Faults in what verify computes once per set and shares between checks.
+# Each runs on the full space F_p^3: it has pairs at every distance, and
+# it attains the sq + zr bound with equality, so a bound one too tight
+# is violated.
+
+def pair_counts_skewed(monkeypatch, rebind, p):
+    def skew(real):
+        def skewed(A):
+            c = real(A)
+            return pairs.PairCounts(sq=c.sq + 1, zr=c.zr - 1, nonsq=c.nonsq)
+        return skewed
+
+    rebind(pairs, "count_pairs", skew)
+
+
+def sq_plus_zr_bound_off_by_one(monkeypatch, rebind, p):
+    rebind(bounds, "bound_sq_plus_zr",
+           lambda real: lambda d, q, size: real(d, q, size) - 1)
+
+
+def eta_swapped_on_a_non_square(monkeypatch, rebind, p):
+    ctx = make_field(p)  # the cached context verify will use
+    eta = ctx.eta_table.copy()
+    eta[int((eta == -1).argmax())] = 1
+    monkeypatch.setattr(ctx, "eta_table", eta)
+
+
+SHARED_INPUT_FAULTS = [
+    (pair_counts_skewed, {"oracle_equivalence", "cone_lift"}),
+    (sq_plus_zr_bound_off_by_one, {"bound_sq_plus_zr"}),
+    (eta_swapped_on_a_non_square, {"cone_lift"}),
+]
+
+
+@pytest.mark.parametrize("fault,names", SHARED_INPUT_FAULTS,
+                         ids=[f.__name__ for f, _ in SHARED_INPUT_FAULTS])
+@pytest.mark.parametrize("p", [3, 7])
+def test_verify_names_the_check_a_shared_input_breaks(fault, names, p,
+                                                       rebind, monkeypatch,
+                                                       capsys):
+    fault(monkeypatch, rebind, p)
+    code = main(["verify", "--p", str(p), "--d", "3", "--trials", "1",
+                 "--size-min", str(p**3)])
+    assert code == 2
+    assert names <= violated_checks(capsys)
+
+
+@pytest.mark.parametrize("p", [3, 7])
+def test_cached_field_is_intact_after_the_eta_fault(p):
+    eta = make_field(p).eta_table
+    assert (eta == 1).sum() == (eta == -1).sum() == (p - 1) // 2

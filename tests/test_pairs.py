@@ -88,17 +88,17 @@ def brute_cone_incidences(A):
 def test_cone_lift_identity_and_brute_force():
     ctx = make_field(3)
     A = PointSet(ctx, 2, [(0, 0), (1, 2), (2, 2)])
-    incidences, expected = cone_lift_check(A)
+    counts = count_pairs(A)
+    incidences, expected = cone_lift_check(A, counts)
     assert incidences == expected
     assert incidences == brute_cone_incidences(A)
-    counts = count_pairs(A)
     assert expected == ctx.q * (2 * counts.sq + counts.zr)
 
 
 def test_cone_lift_extension_field():
     ctx = make_field(3, 2)
     B = PointSet(ctx, 2, [(0, 0), (3, 7), (5, 1)])
-    incidences, expected = cone_lift_check(B)
+    incidences, expected = cone_lift_check(B, count_pairs(B))
     assert incidences == expected
     assert incidences == brute_cone_incidences(B)
 
@@ -108,7 +108,7 @@ def test_cone_lift_extension_field():
 def test_direct_identity_residual_small(p, ell, d):
     ctx = make_field(p, ell)
     A = random_set(ctx, d, max(2, ctx.q), seed=9)
-    assert sq_zr_fourier_residual(A) < 1e-6 * len(A)**2
+    assert sq_zr_fourier_residual(A, count_pairs(A)) < 1e-6 * len(A)**2
 
 
 def test_dimension_one_is_rejected():
@@ -139,4 +139,4 @@ def test_direct_identity_cap():
     ctx = make_field(7)
     A = PointSet(ctx, 7, [(0,) * 7, (1,) + (0,) * 6])
     with pytest.raises(EnumerationTooLargeError):
-        sq_zr_fourier_residual(A)
+        sq_zr_fourier_residual(A, count_pairs(A))

@@ -177,11 +177,12 @@ def test_sphere_transform_closed_form(p, ell, d):
 def test_counting_identity_on_random_sets():
     ctx = make_field(5)
     sphere = enumerate_sphere_zero(ctx, 2)
+    shat = dft_indicator(sphere)
     members = set(sphere.points)
     rng = np.random.default_rng(23)
     for trial in range(4):
         E = random_set(ctx, 2, int(rng.integers(2, 26)), seed=trial)
-        direct, fourier = verify_counting_lemma(E, sphere)
+        direct, fourier = verify_counting_lemma(E, sphere, shat)
         brute = sum(tuple(ctx.sub(a, b) for a, b in zip(x, y)) in members
                     for x in E for y in E)
         assert direct == brute
@@ -190,12 +191,17 @@ def test_counting_identity_on_random_sets():
 
 def test_zero_mass_bounds():
     ctx = make_field(3)
+    P = PointSet(ctx, 2, [(0, 0)])
     with pytest.raises(WrongParityError):
-        zero_mass_bounds_check(PointSet(ctx, 2, [(0, 0)]))
+        zero_mass_bounds_check(
+            P, spectral_masses_exact(P, kernels_for(ctx, 2)))
+    ker = kernels_for(ctx, 3)
     rng = np.random.default_rng(5)
     for trial in range(5):
         A = random_set(ctx, 3, int(rng.integers(1, 28)), seed=trial)
-        rep = zero_mass_bounds_check(A)
+        masses = spectral_masses_exact(A, ker)
+        rep = zero_mass_bounds_check(A, masses)
+        assert rep.mass_zero == masses.zero
         assert rep.holds
         assert rep.lower <= rep.mass_zero
         assert rep.mass_zero <= min(rep.upper_plancherel, rep.upper_refined)
