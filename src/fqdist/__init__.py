@@ -23,8 +23,7 @@ from .generators import (GenSpec, SearchResult,
                          exhaustive_square_distance_max, generate,
                          greedy_square_distance_search, product_lift)
 from .geometry import (PointSet, cone_norm, distance_set, enumerate_cone,
-                       enumerate_sphere_zero, norm, pinned_distance_set,
-                       space_coords)
+                       enumerate_sphere_zero, norm, space_coords)
 from .pairs import (PairCounts, cone_lift_check, count_pairs,
                     predict_from_spectrum, sq_zr_fourier_residual)
 from .setfiles import read_pointset, write_pointset
@@ -44,8 +43,8 @@ __all__ = [
     "exhaustive_square_distance_max", "gauss_closed", "gauss_direct",
     "gauss_signs", "generate", "greedy_square_distance_search",
     "is_square_distance_set", "kernels_for", "make_field",
-    "masses_numeric", "norm", "parity_case", "pinned_distance_set",
-    "predict_from_spectrum", "product_lift", "read_pointset",
+    "masses_numeric", "norm", "parity_case", "predict_from_spectrum",
+    "product_lift", "read_pointset",
     "space_coords", "spectral_masses_exact", "sphere0_fourier_formula",
     "sq_zr_fourier_residual", "square_set_size_bound",
     "verify_counting_lemma", "write_pointset", "zero_mass_bounds_check",

@@ -40,7 +40,8 @@ from .spectral import (DFT_CAP, kernels_for, spectral_masses_exact,
 SIGN_TABLE_MAX_N = 12
 
 # least accepted value of each integer option that has one
-OPTION_MINIMA = {"d": 1, "trials": 1, "jobs": 1, "restarts": 1}
+OPTION_MINIMA = {"d": 1, "trials": 1, "jobs": 1, "restarts": 1, "seed": 0,
+                 "node_budget": 1}
 
 
 def rat(x) -> str:
@@ -328,6 +329,9 @@ def cmd_search_square(args) -> int:
         found = exhaustive_square_distance_max(ctx, d,
                                                node_budget=args.node_budget)
         witness = found.witness
+        if len(witness) == 0:
+            raise FqdistError(f"--node-budget {args.node_budget} ran out "
+                              f"before the search placed a point")
         results["exact"] = found.exact
         results["nodes"] = found.nodes
     results["size"] = len(witness)
@@ -357,6 +361,8 @@ def cmd_coverage(args) -> int:
                           f"got {args.seeds!r}") from None
     if not seeds:
         raise FqdistError("no seeds given")
+    if min(seeds) < 0:
+        raise FqdistError(f"--seeds must be non-negative, got {min(seeds)}")
     tally = _Tally()
     per_seed = []
     for seed in seeds:
@@ -458,7 +464,8 @@ def _check_minima(args):
     for name, least in OPTION_MINIMA.items():
         value = getattr(args, name, None)
         if value is not None and value < least:
-            raise FqdistError(f"--{name} must be at least {least}, "
+            flag = name.replace("_", "-")
+            raise FqdistError(f"--{flag} must be at least {least}, "
                               f"got {value}")
 
 

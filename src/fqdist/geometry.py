@@ -2,7 +2,7 @@
 
 Covers the distance form ||v|| = sum v_i^2, the cone form
 ||x||_C = x_1^2 + ... + x_{n-1}^2 - x_n^2, enumeration of the zero sphere
-and the cone, and (pinned) distance sets.
+and the cone, and distance sets.
 
 Points are tuples of element indices.  A PointSet keeps its points
 deduplicated and sorted lexicographically, so hashes, file dumps and
@@ -210,40 +210,30 @@ def enumerate_cone(ctx, n):
     return PointSet(ctx, n, map(tuple, unpack_coords(ctx.q, n, packed)))
 
 
-def pairwise_diff_packed(A, B=None):
-    """(n, m) array of packed indices of x - y over x in A, y in B (B = A)."""
-    ctx, d = A.ctx, A.d
-    X = A.coords
-    if B is None:
-        Y = X
-    else:
-        if B.ctx is not ctx or B.d != d:
-            raise DimensionMismatchError("point sets live in different spaces")
-        Y = B.coords
-    diff = _sub_elementwise(ctx, X[:, None, :], Y[None, :, :])
-    return diff @ pack_weights(ctx.q, d)
-
-
-def pairwise_norms(A):
-    """(n, n) array of element indices ||x - y|| over ordered pairs of A."""
-    tab = norm_table(A.ctx, A.d)
-    return tab[pairwise_diff_packed(A)]
-
-
 def distance_set(A):
-    """Delta(A) = {||x - y||} over ordered pairs, as a set of element indices."""
-    if len(A) == 0:
+    """Delta(A) = {||x - y||} over ordered pairs, as a set of element indices.
+
+    Scans the difference rows x - A for x in A in blocks of 1, 2, 4, ...
+    rows, at most max(1, 2^21 // n) rows at a time, so no more than 2^21
+    differences (one row, for n > 2^21) are held at once.  Delta(A) is a
+    subset of F_q, so the scan stops as soon as all q values have been
+    seen; large sets usually see every distance from the first pinned
+    row.  A set that misses some value, such as a square-distance set,
+    costs all n^2 pairs.
+    """
+    n = len(A)
+    if n == 0:
         raise EmptySetError("distance set of an empty point set")
-    return set(int(t) for t in np.unique(pairwise_norms(A)))
-
-
-def pinned_distance_set(x, A):
-    """Delta_x(A) = {||x - a|| : a in A}."""
-    if len(A) == 0:
-        raise EmptySetError("pinned distance set of an empty point set")
-    ctx = A.ctx
-    x = tuple(x)
-    if len(x) != A.d:
-        raise DimensionMismatchError("pin has wrong dimension")
-    sub = ctx.sub
-    return {norm(ctx, tuple(sub(c, a) for c, a in zip(x, pt))) for pt in A}
+    ctx, X = A.ctx, A.coords
+    ntab = norm_table(ctx, A.d)
+    weights = pack_weights(ctx.q, A.d)
+    seen = np.zeros(ctx.q, dtype=bool)
+    cap = max(1, (1 << 21) // n)
+    start, rows = 0, 1
+    while start < n and not seen.all():
+        diffs = _sub_elementwise(ctx, X[start:start + rows, None, :],
+                                 X[None, :, :])
+        seen[ntab[diffs @ weights]] = True
+        start += rows
+        rows = min(2 * rows, cap)
+    return set(np.flatnonzero(seen).tolist())

@@ -51,3 +51,17 @@ def test_tracer_counts_work_of_a_verify_run(tmp_path):
         work = json.loads(str(data["meta"]))["work"]
     for name in ("count_pairs", "cone_lift_check", "dft_indicator"):
         assert work.get(name, 0) > 0, (name, work)
+
+
+def test_tracer_counts_distance_pairs_of_a_coverage_run(tmp_path):
+    # the distance_pairs metric is computed from distance_set's first
+    # positional argument, one n^2 per call, whatever the scan stops at
+    spans = tmp_path / "s.npz"
+    out = run_bench_script("bench/tracer.py", str(spans), "coverage",
+                           "--p", "5", "--d", "3", "--size", "100",
+                           "--seeds", "0,1")
+    assert out.returncode == 0, out.stderr
+    with np.load(spans) as data:
+        meta = json.loads(str(data["meta"]))
+    assert meta["calls"]["distance_set"] == 2
+    assert meta["work"]["distance_set"] == 2 * 100**2

@@ -185,6 +185,18 @@ def test_domain_and_io_errors_exit_one(tmp_path, capsys):
         ["search-square", "--p", "3", "--d", "2", "--restarts", "-1"],
         ["coverage", "--p", "5", "--d", "3", "--size", "10",
          "--seeds", ",x"],
+        ["verify", "--p", "3", "--d", "2", "--seed", "-1"],
+        ["search-square", "--p", "3", "--d", "2", "--strategy", "greedy",
+         "--seed", "-1"],
+        ["coverage", "--p", "5", "--d", "3", "--size", "10",
+         "--seeds", "0,-1"],
+        ["search-square", "--p", "3", "--d", "2", "--strategy",
+         "exhaustive", "--node-budget", "0"],
+        ["search-square", "--p", "3", "--d", "2", "--strategy",
+         "exhaustive", "--node-budget", "-5"],
+        # the budget runs out before the search places a point
+        ["search-square", "--p", "3", "--d", "3", "--strategy",
+         "exhaustive", "--node-budget", "1"],
     ]
     for argv in cases:
         assert main(argv) == 1, argv
@@ -193,6 +205,8 @@ def test_domain_and_io_errors_exit_one(tmp_path, capsys):
         assert captured.out == "", argv
         assert len(lines) == 1 and lines[0].startswith("fqdist: error:"), \
             (argv, captured.err)
+        if "--node-budget" in argv:
+            assert "--node-budget" in lines[0], lines[0]
 
 
 def test_violations_exit_two(capsys, monkeypatch):

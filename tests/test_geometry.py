@@ -4,14 +4,51 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fqdist import (PointSet, cone_norm, distance_set, enumerate_cone,
-                    enumerate_sphere_zero, make_field, norm,
-                    pinned_distance_set, space_coords)
+import fqdist.geometry as geometry
+from fqdist import (GenSpec, PointSet, cone_norm, distance_set,
+                    enumerate_cone, enumerate_sphere_zero,
+                    exhaustive_square_distance_max, generate, make_field,
+                    norm, space_coords)
 from fqdist.errors import (DimensionMismatchError, DimensionTooSmallError,
                            EmptySetError, EnumerationTooLargeError)
-from fqdist.geometry import (norm_table, pack_coords, pairwise_norms,
+from fqdist.geometry import (norm_table, pack_coords, pack_weights,
                              unpack_coords)
+
+
+# Full-matrix references that the library's distance_set replaced; they
+# hold all n^2 differences at once, so keep them to small sets.
+
+def pairwise_diff_packed(A):
+    """(n, n) array of packed indices of x - y over ordered pairs of A."""
+    X = A.coords
+    diff = geometry._sub_elementwise(A.ctx, X[:, None, :], X[None, :, :])
+    return diff @ pack_weights(A.ctx.q, A.d)
+
+
+def pairwise_norms(A):
+    """(n, n) array of element indices ||x - y|| over ordered pairs of A."""
+    tab = norm_table(A.ctx, A.d)
+    return tab[pairwise_diff_packed(A)]
+
+
+def pinned_distance_set(x, A):
+    """Delta_x(A) = {||x - a|| : a in A}."""
+    if len(A) == 0:
+        raise EmptySetError("pinned distance set of an empty point set")
+    ctx = A.ctx
+    x = tuple(x)
+    if len(x) != A.d:
+        raise DimensionMismatchError("pin has wrong dimension")
+    sub = ctx.sub
+    return {norm(ctx, tuple(sub(c, a) for c, a in zip(x, pt))) for pt in A}
+
+
+def scalar_distance_set(A):
+    """Delta(A) from scalar field arithmetic, pair by pair."""
+    return set().union(*(pinned_distance_set(x, A) for x in A))
 
 
 def test_pack_unpack_round_trip():
@@ -119,6 +156,88 @@ def test_distance_sets():
     assert pinned_distance_set((2, 2), full) <= distance_set(full)
     with pytest.raises(EmptySetError):
         distance_set(PointSet(ctx, 2, []))
+
+
+@st.composite
+def point_sets(draw):
+    p = draw(st.sampled_from((3, 5, 7)))
+    ell = draw(st.sampled_from((1, 2)))
+    d = draw(st.sampled_from((2, 3)))
+    q = p**ell
+    pts = draw(st.lists(st.tuples(*[st.integers(0, q - 1)] * d),
+                        min_size=1, max_size=25))
+    return PointSet(make_field(p, ell), d, pts)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(point_sets())
+def test_distance_set_matches_scalar_oracle(A):
+    assert distance_set(A) == scalar_distance_set(A)
+    assert distance_set(A) == set(pairwise_norms(A).ravel().tolist())
+
+
+def square_witness():
+    """A square-distance set in F_7^3 with at least two points."""
+    witness = exhaustive_square_distance_max(make_field(7), 3,
+                                             node_budget=2000).witness
+    assert len(witness) >= 2
+    return witness
+
+
+def test_distance_set_fixed_cases():
+    ctx = make_field(7)
+    assert distance_set(PointSet(ctx, 3, [(3, 1, 4)])) == {0}
+    witness = square_witness()
+    assert distance_set(witness) == scalar_distance_set(witness)
+    assert all(ctx.eta(t) == 1 for t in distance_set(witness) - {0})
+    plane = PointSet(ctx, 3, [(x, y, 0) for x in range(7) for y in range(7)])
+    assert distance_set(plane) == set(range(7)) == scalar_distance_set(plane)
+
+
+def scanned_blocks(monkeypatch):
+    """Row counts of the difference blocks distance_set computes."""
+    blocks = []
+    real = geometry._sub_elementwise
+
+    def recording(ctx, a, b):
+        blocks.append(a.shape[0])
+        return real(ctx, a, b)
+
+    monkeypatch.setattr(geometry, "_sub_elementwise", recording)
+    return blocks
+
+
+def test_distance_set_stops_once_every_distance_is_seen(monkeypatch):
+    ctx = make_field(17)
+    sets = [generate(ctx, 3, GenSpec(kind="random", size=1156, seed=seed))
+            for seed in range(5)]
+    blocks = scanned_blocks(monkeypatch)
+    for A in sets:
+        blocks.clear()
+        assert distance_set(A) == set(range(17))
+        assert sum(blocks) < 16
+        assert max(blocks) <= max(1, 2**21 // len(A))
+
+
+def test_distance_set_scans_every_row_of_a_square_set(monkeypatch):
+    witness = square_witness()
+    blocks = scanned_blocks(monkeypatch)
+    distance_set(witness)
+    assert sum(blocks) == len(witness)
+    assert max(blocks) <= max(1, 2**21 // len(witness))
+
+
+def test_distance_set_blocks_stay_within_the_budget(monkeypatch):
+    # n = 2^12 caps blocks at 2^21 // n = 512 rows, reached after the
+    # 1, 2, ..., 256 doubling; the differences of 0..4095 in F_4099 cover
+    # the line, whose norms t^2 miss every non-square, so all rows are
+    # scanned
+    ctx = make_field(4099)
+    line = PointSet(ctx, 1, [(t,) for t in range(4096)])
+    blocks = scanned_blocks(monkeypatch)
+    assert distance_set(line) == {ctx.mul(t, t) for t in range(ctx.q)}
+    assert sum(blocks) == 4096
+    assert max(blocks) == 2**21 // 4096
 
 
 def test_norm_histogram_is_translation_invariant():
