@@ -21,11 +21,6 @@ def chi(ctx, a):
     return complex(ctx.chi_table[a])
 
 
-def eta_minus_one(ctx):
-    """eta(-1): +1 when q = 1 mod 4, -1 when q = 3 mod 4."""
-    return ctx.eta(ctx.neg(1))
-
-
 def gauss_direct(ctx, a):
     """G_a = sum_{s != 0} eta(s) chi(a*s), by direct summation."""
     if a == 0:
@@ -70,20 +65,3 @@ def gauss_signs(n, ctx):
     sigma = -1 if (n4 == 2 and q4 == 3) else 1
     tau = -1 if (n4 == 0 and q4 == 3) else 1
     return GaussSignPair(sigma=sigma, tau=tau)
-
-
-def completing_square_check(ctx, a, b):
-    """|LHS - RHS| for sum_s chi(a s^2 + b s) = eta(a) G_1 chi(b^2 / (-4a)).
-
-    Returns the absolute residual; q odd guarantees -4a is invertible.
-    """
-    if a == 0:
-        raise ZeroParameterError("quadratic coefficient must be nonzero")
-    add, mul = ctx.add, ctx.mul
-    lhs = 0j
-    for s in range(ctx.q):
-        lhs += ctx.chi_table[add(mul(a, mul(s, s)), mul(b, s))]
-    four = 4 % ctx.p  # the constant 4 lives in the prime subfield
-    arg = mul(mul(b, b), ctx.inv(ctx.neg(mul(four, a))))
-    rhs = ctx.eta(a) * gauss_direct(ctx, 1) * ctx.chi_table[arg]
-    return abs(lhs - rhs)

@@ -264,6 +264,9 @@ def cmd_verify(args) -> int:
 def cmd_analyze(args) -> int:
     A = read_pointset(args.set)
     ctx, d, n = A.ctx, A.d, len(A)
+    if d < 2:
+        # every check of analyze needs d >= 2; none would run
+        raise FqdistError(f"analyze needs d >= 2, got d = {d} in {args.set}")
     tally = _Tally()
     counts = count_pairs(A)
     results = {
@@ -277,7 +280,7 @@ def cmd_analyze(args) -> int:
         "is_square_distance_set": counts.nonsq == 0,
     }
     masses = None
-    if d >= 2 and ctx.q**d <= DFT_CAP:
+    if ctx.q**d <= DFT_CAP:
         try:
             masses = spectral_masses_exact(A, kernels_for(ctx, d))
             predicted = predict_from_spectrum(A, masses)
@@ -291,17 +294,16 @@ def cmd_analyze(args) -> int:
             results["masses"] = {"zero": rat(masses.zero),
                                  "plus": rat(masses.plus),
                                  "minus": rat(masses.minus)}
-    if d >= 2:
-        bound_rows = []
-        for rep in check_all(A, counts):
-            tally.hit(f"bound_{rep.name}", rep.holds,
-                      {"lhs": rat(rep.lhs), "rhs": rat(rep.rhs)})
-            bound_rows.append({
-                "name": rep.name, "case": rep.case.case_id,
-                "branch": rep.branch, "lhs": rat(rep.lhs),
-                "rhs": rat(rep.rhs), "holds": rep.holds,
-                "slack": rat(rep.slack)})
-        results["bounds"] = bound_rows
+    bound_rows = []
+    for rep in check_all(A, counts):
+        tally.hit(f"bound_{rep.name}", rep.holds,
+                  {"lhs": rat(rep.lhs), "rhs": rat(rep.rhs)})
+        bound_rows.append({
+            "name": rep.name, "case": rep.case.case_id,
+            "branch": rep.branch, "lhs": rat(rep.lhs),
+            "rhs": rat(rep.rhs), "holds": rep.holds,
+            "slack": rat(rep.slack)})
+    results["bounds"] = bound_rows
     if masses is not None and d % 2 == 1 and d >= 3:
         zm = zero_mass_bounds_check(A, masses)
         tally.hit("zero_mass_refined", zm.holds)
@@ -469,6 +471,17 @@ def _check_minima(args):
                               f"got {value}")
 
 
+def _check_outputs(args):
+    """Open every output target before the work starts, so a path that
+    cannot be written fails at once, before any report is printed.
+    Append mode creates a missing file and leaves an existing one (which
+    may be the input) as it is until the command writes it."""
+    for name in ("output", "csv", "witness_out"):
+        path = getattr(args, name, None)
+        if path:
+            open(path, "a").close()
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -477,6 +490,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         _check_minima(args)
+        _check_outputs(args)
         return args.func(args)
     except (FqdistError, OSError) as exc:
         print(f"fqdist: error: {exc}", file=sys.stderr)

@@ -48,6 +48,28 @@ def unpack_coords(q, d, packed):
     return out
 
 
+def _digit_weights(ctx, width):
+    """Weight of each F_p digit in a packed index of F_q^width.
+
+    Digit j of coordinate i has weight p^(ell * (width - 1 - i) + j), so
+    a packed index is the base-p number its digits form; the weights are
+    listed coordinate by coordinate, digit j of coordinate i at position
+    i * ell + j.  At ell = 1 these are the packing weights.
+    """
+    p, ell = ctx.p, ctx.ell
+    return np.array([p ** (ell * (width - 1 - i) + j)
+                     for i in range(width) for j in range(ell)],
+                    dtype=np.int64)
+
+
+def _packed_digits(ctx, width, packed):
+    """(n, width * ell) int64 array of the F_p digits of packed indices
+    of F_q^width, in the order of `_digit_weights`; at ell = 1 it equals
+    `unpack_coords`."""
+    packed = np.asarray(packed, dtype=np.int64)
+    return (packed[:, None] // _digit_weights(ctx, width)) % ctx.p
+
+
 class PointSet:
     """Deduplicated point set in F_q^d with canonical (lexicographic) order."""
 
@@ -85,9 +107,6 @@ class PointSet:
     def __iter__(self):
         return iter(self.points)
 
-    def __contains__(self, pt):
-        return tuple(pt) in set(self.points)
-
     def __eq__(self, other):
         return (isinstance(other, PointSet) and self.ctx is other.ctx
                 and self.d == other.d and self.points == other.points)
@@ -114,16 +133,6 @@ def norm(ctx, v):
     for c in v:
         acc = ctx.add(acc, ctx.mul(c, c))
     return acc
-
-
-def cone_norm(ctx, x):
-    """||x||_C = x_1^2 + ... + x_{n-1}^2 - x_n^2; zero exactly on the cone."""
-    if len(x) < 2:
-        raise DimensionTooSmallError("cone form needs at least 2 coordinates")
-    acc = 0
-    for c in x[:-1]:
-        acc = ctx.add(acc, ctx.mul(c, c))
-    return ctx.sub(acc, ctx.mul(x[-1], x[-1]))
 
 
 def _check_cap(q, d):

@@ -18,7 +18,8 @@ import numpy as np
 from .characters import gauss_closed, gauss_signs
 from .errors import (EmptySetError, EnumerationTooLargeError,
                      TooManyPairsError, UnsupportedDimensionError)
-from .geometry import ENUMERATION_CAP, PointSet, _sub_elementwise, norm_table
+from .geometry import (ENUMERATION_CAP, PointSet, _digit_weights,
+                       _packed_digits, _sub_elementwise, norm_table)
 from .spectral import SpectralMass, dft_indicator
 
 PAIR_CAP = 10**9
@@ -74,14 +75,76 @@ def count_pairs(A: PointSet) -> PairCounts:
     return PairCounts(sq=sq, zr=zr, nonsq=n * n - sq - zr)
 
 
+def _squares_and_prefix_norms(ctx, d):
+    """(squares, prefix): squares[a] = a^2 over F_q, and prefix[v] =
+    ||v|| over packed F_q^d, both as packed elements.
+
+    Built from `ctx.mul(a, a)` alone, adding squares coordinate by
+    coordinate with digit-wise sums mod p; `norm_table` and
+    `cone_norm_table` are not read, so the cone lift shares no norm
+    code with `count_pairs` or the spectral pipeline.
+    """
+    p, q = ctx.p, ctx.q
+    squares = np.array([ctx.mul(a, a) for a in range(q)], dtype=np.int64)
+    prefix = squares
+    for _ in range(d - 1):
+        a, b = prefix[:, None], squares[None, :]
+        total, weight = 0, 1
+        for _ in range(ctx.ell):
+            total = total + (a // weight + b // weight) % p * weight
+            weight *= p
+        prefix = total.reshape(-1)
+    return squares, prefix
+
+
+def _cone_incidences_on_digits(A: PointSet) -> int:
+    """Ordered pairs of E = A x F_q whose difference lies on the zero
+    cone of ||.||_C, from differences of F_p digits (any ell)."""
+    ctx, d, q, p = A.ctx, A.d, A.ctx.q, A.ctx.p
+    if q**d > ENUMERATION_CAP:
+        raise EnumerationTooLargeError(
+            f"q^d = {q**d} exceeds cap {ENUMERATION_CAP}")
+    n_lift = len(A) * q
+    squares, prefix = _squares_and_prefix_norms(ctx, d)
+    # x is on the cone exactly when the norm of its first d coordinates
+    # equals the square of its last one; over packed F_q^(d+1) that is a
+    # boolean indicator, unless the space is over the cap
+    volume = q**(d + 1)
+    cone = None
+    if volume <= ENUMERATION_CAP:
+        cone = (prefix[:, None] == squares[None, :]).reshape(-1)
+    # (x, s) in E packs to x * q + s
+    lifted_packed = (A.packed()[:, None] * q + np.arange(q)).reshape(-1)
+    lifted = _packed_digits(ctx, d + 1, lifted_packed).astype(np.int16)
+    index_type = np.int32 if volume <= np.iinfo(np.int32).max else np.int64
+    weights = _digit_weights(ctx, d + 1).astype(index_type)
+    incidences = 0
+    chunk = max(1, (1 << 21) // n_lift)
+    for s in range(0, n_lift, chunk):
+        diffs = lifted[s:s + chunk, None, :] - lifted[None, :, :]
+        diffs %= p
+        packed = diffs @ weights
+        if cone is not None:
+            hits = cone[packed]
+        else:
+            hits = prefix[packed // q] == squares[packed % q]
+        incidences += int(np.count_nonzero(hits))
+    return incidences
+
+
 def cone_lift_check(A: PointSet, counts: PairCounts):
     """Count incidences of the zero cone on the lifted set E = A x F_q,
     and the value q * (2*sq + zr) it must equal, where counts is
     `count_pairs(A)`, computed once by the caller.
 
     Returns (incidences, predicted).  The left side is a genuine
-    enumeration over E x E; nothing is shared with `count_pairs` beyond
-    the field tables.
+    enumeration over E x E, in row blocks of at most 2^21 lifted
+    differences.  For ell = 1 it classifies each difference with modular
+    arithmetic on coordinates.  For ell > 1 it takes differences of F_p
+    digits mod p, packs them with one integer matmul, and looks them up
+    in a zero-cone indicator built from the squares ctx.mul(a, a) with
+    digit-wise sums mod p.  Nothing is shared with `count_pairs` beyond
+    the field tables; in particular no norm table is read.
     """
     if len(A) == 0:
         raise EmptySetError("cone lift needs a nonempty set")
@@ -90,26 +153,18 @@ def cone_lift_check(A: PointSet, counts: PairCounts):
     if n_lift * n_lift > PAIR_CAP:
         raise TooManyPairsError(
             f"lifted set has {n_lift}^2 ordered pairs, over cap {PAIR_CAP}")
-    lifted = np.empty((n_lift, d + 1), dtype=np.int64)
-    lifted[:, :d] = np.repeat(A.coords, q, axis=0)
-    lifted[:, d] = np.tile(np.arange(q, dtype=np.int64), len(A))
-    incidences = 0
-    chunk = max(1, (1 << 21) // n_lift)
     if ctx.ell == 1:
+        lifted = np.empty((n_lift, d + 1), dtype=np.int64)
+        lifted[:, :d] = np.repeat(A.coords, q, axis=0)
+        lifted[:, d] = np.tile(np.arange(q, dtype=np.int64), len(A))
+        incidences = 0
+        chunk = max(1, (1 << 21) // n_lift)
         for s in range(0, n_lift, chunk):
             diffs = (lifted[s:s + chunk, None, :] - lifted[None, :, :]) % ctx.p
             cn = (diffs[:, :, :d]**2).sum(axis=2) - diffs[:, :, d]**2
             incidences += int((cn % ctx.p == 0).sum())
     else:
-        add_tab, sub_tab, mul_tab = ctx.pair_tables
-        for s in range(0, n_lift, chunk):
-            diffs = _sub_elementwise(ctx, lifted[s:s + chunk, None, :],
-                                     lifted[None, :, :])
-            sqs = mul_tab[diffs, diffs]
-            acc = sqs[:, :, 0]
-            for i in range(1, d):
-                acc = add_tab[acc, sqs[:, :, i]]
-            incidences += int((sub_tab[acc, sqs[:, :, d]] == 0).sum())
+        incidences = _cone_incidences_on_digits(A)
     predicted = q * (2 * counts.sq + counts.zr)
     return incidences, predicted
 

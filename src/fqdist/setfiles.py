@@ -45,6 +45,8 @@ def _parse_header(line: str, lineno: int):
         mod = tuple(int(c) for c in fields["mod"].split(","))
     except ValueError as exc:
         raise ParseError(f"non-integer header value ({exc})", line=lineno)
+    if d < 1:
+        raise ParseError(f"dimension d={d} must be at least 1", line=lineno)
     return p, ell, d, mod
 
 

@@ -19,6 +19,7 @@ through a complex DFT.  They must agree to float precision, and the
 tests hold them to that.
 """
 
+import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,8 +28,9 @@ import numpy as np
 from .characters import gauss_closed
 from .errors import EmptySetError, EnumerationTooLargeError, WrongParityError
 from .field import FieldCtx
-from .geometry import (PointSet, _sub_elementwise, cone_norm_table,
-                       norm_table, pack_weights, space_coords, unpack_coords)
+from .geometry import (PointSet, _packed_digits, _sub_elementwise,
+                       cone_norm_table, norm_table, pack_weights,
+                       unpack_coords)
 
 DFT_CAP = 10**6
 
@@ -62,21 +64,41 @@ def _dot_chunks(ctx, rows: np.ndarray, cols: np.ndarray, chunk: int = None):
             yield s, acc
 
 
+def _trace_form(ctx) -> np.ndarray:
+    """Gram matrix T[j, k] = Tr(X^j * X^k) of the trace form on the
+    basis 1, X, ..., X^(ell-1) of F_q over F_p; [[1]] when ell = 1."""
+    basis = [ctx.p**j for j in range(ctx.ell)]  # packed index of X^j
+    return np.array([[ctx.trace(ctx.mul(a, b)) for b in basis]
+                     for a in basis], dtype=np.int64)
+
+
 def dft_indicator(A: PointSet) -> np.ndarray:
     """All Fourier coefficients of the indicator of A.
 
     Returns a complex array over packed frequencies m with
     out[m] = q^(-d) sum_{x in A} chi(-m . x).
+
+    The trace is F_p-bilinear, so with T the trace form (`_trace_form`)
+    Tr(m . x) = digits(m) . (I_d (x) T) . digits(x) mod p on the F_p
+    digits of the packed indices: one integer matmul per block of
+    frequencies, and chi read from a table of length p.  At ell = 1, T
+    is [[1]] and the digits are the coordinates.
     """
-    ctx, d = A.ctx, A.d
+    ctx, d, p = A.ctx, A.d, A.ctx.p
     _check_transform_size(ctx.q, d)
     volume = ctx.q**d
-    freqs = space_coords(ctx, d)
-    conj_chi = np.conj(ctx.chi_table)
+    form = np.kron(np.eye(d, dtype=np.int64), _trace_form(ctx))
+    pts = (_packed_digits(ctx, d, A.packed()) @ form % p).T
+    conj_chi = np.conj(np.exp(2j * cmath.pi
+                              * np.arange(p, dtype=np.float64) / p))
+    freqs = _packed_digits(ctx, d, np.arange(volume))
     out = np.empty(volume, dtype=np.complex128)
-    pts = A.coords
-    for start, dots in _dot_chunks(ctx, freqs, pts):
-        out[start:start + dots.shape[0]] = conj_chi[dots].sum(axis=1)
+    # at most 2^21 terms per block: the block's integer and complex
+    # temporaries stay small, and smaller blocks run faster
+    chunk = max(1, (1 << 21) // max(len(A), 1))
+    for start in range(0, volume, chunk):
+        dots = freqs[start:start + chunk] @ pts % p
+        out[start:start + chunk] = conj_chi[dots].sum(axis=1)
     out /= volume
     return out
 
@@ -224,17 +246,6 @@ def spectral_masses_exact(A: PointSet, kernels: KernelTable) -> SpectralMass:
     if mass.total() != Fraction(len(A), ctx.q**d):
         raise ArithmeticError("spectral masses violate Plancherel")
     return mass
-
-
-def masses_numeric(A: PointSet):
-    """(zero, plus, minus) masses via the complex DFT; cross-check only."""
-    ctx, d = A.ctx, A.d
-    ahat = dft_indicator(A)
-    power = np.abs(ahat)**2
-    etas = ctx.eta_table[norm_table(ctx, d)]
-    return (float(power[etas == 0].sum()),
-            float(power[etas == 1].sum()),
-            float(power[etas == -1].sum()))
 
 
 def _inner_sum_table(ctx, n: int, denom_scale: int) -> np.ndarray:

@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 
 from fqdist import (GenSpec, PointSet, bound_sq_even_dim, bound_sq_odd_dim,
-                    bound_sq_plus_zr, check_all, completing_square_check,
-                    cone_fourier_formula, cone_lift_check, count_pairs,
-                    dft_indicator, enumerate_cone, enumerate_sphere_zero,
+                    bound_sq_plus_zr, check_all, cone_fourier_formula,
+                    cone_lift_check, count_pairs, dft_indicator,
+                    enumerate_cone, enumerate_sphere_zero,
                     exhaustive_square_distance_max, gauss_closed,
                     gauss_direct, gauss_signs, generate,
                     greedy_square_distance_search, is_square_distance_set,
@@ -26,6 +26,7 @@ from fqdist import (GenSpec, PointSet, bound_sq_even_dim, bound_sq_odd_dim,
 from fqdist.cli import main as cli_main
 from fqdist.field import _is_prime
 from fqdist.geometry import unpack_coords
+from test_characters import completing_square_check
 
 SWEEP_CELLS = [(2, 3), (2, 5), (2, 7), (3, 3), (3, 5), (4, 3), (5, 3)]
 SETS_PER_CELL = 200

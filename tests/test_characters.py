@@ -2,12 +2,32 @@
 
 import pytest
 
-from fqdist import (chi, completing_square_check, gauss_closed, gauss_direct,
-                    gauss_signs, make_field)
-from fqdist.characters import eta_minus_one
+from fqdist import chi, gauss_closed, gauss_direct, gauss_signs, make_field
 from fqdist.errors import OddExponentError, ZeroParameterError
 
 SMALL = [(3, 1), (5, 1), (7, 1), (3, 2), (13, 1), (5, 2), (3, 3)]
+
+
+def eta_minus_one(ctx):
+    """eta(-1): +1 when q = 1 mod 4, -1 when q = 3 mod 4."""
+    return ctx.eta(ctx.neg(1))
+
+
+def completing_square_check(ctx, a, b):
+    """|LHS - RHS| for sum_s chi(a s^2 + b s) = eta(a) G_1 chi(b^2 / (-4a)).
+
+    Returns the absolute residual; q odd guarantees -4a is invertible.
+    """
+    if a == 0:
+        raise ZeroParameterError("quadratic coefficient must be nonzero")
+    add, mul = ctx.add, ctx.mul
+    lhs = 0j
+    for s in range(ctx.q):
+        lhs += ctx.chi_table[add(mul(a, mul(s, s)), mul(b, s))]
+    four = 4 % ctx.p  # the constant 4 lives in the prime subfield
+    arg = mul(mul(b, b), ctx.inv(ctx.neg(mul(four, a))))
+    rhs = ctx.eta(a) * gauss_direct(ctx, 1) * ctx.chi_table[arg]
+    return abs(lhs - rhs)
 
 
 @pytest.mark.parametrize("p,ell", SMALL)

@@ -174,6 +174,11 @@ def test_usage_errors_exit_one(capsys):
 def test_domain_and_io_errors_exit_one(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("fq p=3 ell=1 d=2 mod=0,1\n9,9\n")
+    line = tmp_path / "line.txt"
+    line.write_text("fq p=3 ell=1 d=1 mod=0,1\n0\n1\n")
+    flat = tmp_path / "flat.txt"
+    flat.write_text("fq p=3 ell=1 d=0 mod=0,1\n0\n")
+    unwritable = str(tmp_path / "no-such-dir" / "out")
     cases = [
         ["gauss", "--p", "4"],                              # 4 is not prime
         ["analyze", "--set", str(tmp_path / "missing.txt")],
@@ -197,6 +202,15 @@ def test_domain_and_io_errors_exit_one(tmp_path, capsys):
         # the budget runs out before the search places a point
         ["search-square", "--p", "3", "--d", "3", "--strategy",
          "exhaustive", "--node-budget", "1"],
+        # output targets are opened before the work, so nothing is printed
+        ["verify", "--p", "3", "--d", "3", "--trials", "1",
+         "--csv", unwritable],
+        ["verify", "--p", "3", "--d", "3", "--trials", "1",
+         "--output", unwritable],
+        ["search-square", "--p", "3", "--d", "2", "--witness-out",
+         unwritable],
+        ["analyze", "--set", str(line)],    # d = 1: no check would run
+        ["analyze", "--set", str(flat)],    # d = 0 in the header
     ]
     for argv in cases:
         assert main(argv) == 1, argv

@@ -10,6 +10,7 @@ import pytest
 
 import fqdist.bounds as bounds
 import fqdist.cli as cli
+import fqdist.geometry as geometry
 import fqdist.pairs as pairs
 import fqdist.spectral as spectral
 from fqdist import GenSpec, generate, make_field, write_pointset
@@ -120,3 +121,25 @@ def test_verify_names_the_check_a_shared_input_breaks(fault, names, p,
 def test_cached_field_is_intact_after_the_eta_fault(p):
     eta = make_field(p).eta_table
     assert (eta == 1).sum() == (eta == -1).sum() == (p - 1) // 2
+
+
+# The cone lift must not share norm code with count_pairs.  With one
+# entry of the cached norm table wrong, count_pairs and the spectral
+# pipeline see the wrong norm, while a cone lift that builds its own
+# cone from squares does not, so the two sides of the lift disagree.
+
+@pytest.mark.parametrize("p,ell,d", [(7, 1, 3), (3, 2, 2)])
+def test_cone_lift_does_not_read_the_norm_table(p, ell, d, monkeypatch,
+                                                capsys):
+    ctx = make_field(p, ell)
+    table = geometry.norm_table(ctx, d).copy()
+    # packed vector 1 is (0, ..., 0, 1): norm 1, a square
+    table[1] = int((ctx.eta_table == -1).argmax())
+    table.setflags(write=False)
+    monkeypatch.setitem(geometry._NORM_TABLES, (p, ell, d), table)
+    # a cone form read from the tables would be rebuilt from this one
+    monkeypatch.setattr(geometry, "_CONE_TABLES", {})
+    code = main(["verify", "--p", str(p), "--ell", str(ell), "--d", str(d),
+                 "--trials", "1", "--size-min", str(ctx.q**d)])
+    assert code == 2
+    assert "cone_lift" in violated_checks(capsys)

@@ -44,7 +44,7 @@ def test_line():
     A = generate(ctx, 2, GenSpec(kind="line", direction=(1, 2),
                                  through=(3, 0)))
     assert len(A) == 5
-    assert (3, 0) in A
+    assert (3, 0) in A.points
     for x, y in A:
         # y - 0 = 2 * (x - 3) along the direction
         assert y == ctx.mul(2, ctx.sub(x, 3))
@@ -59,7 +59,7 @@ def test_subspace():
     A = generate(ctx, 3, GenSpec(kind="subspace",
                                  basis=((1, 0, 0), (0, 1, 1))))
     assert len(A) == 9
-    assert (0, 0, 0) in A
+    assert (0, 0, 0) in A.points
     members = set(A.points)
     for x in members:  # closed under addition
         for y in members:

@@ -8,10 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fqdist.geometry as geometry
-from fqdist import (GenSpec, PointSet, cone_norm, distance_set,
-                    enumerate_cone, enumerate_sphere_zero,
-                    exhaustive_square_distance_max, generate, make_field,
-                    norm, space_coords)
+from fqdist import (GenSpec, PointSet, distance_set, enumerate_cone,
+                    enumerate_sphere_zero, exhaustive_square_distance_max,
+                    generate, make_field, norm, space_coords)
 from fqdist.errors import (DimensionMismatchError, DimensionTooSmallError,
                            EmptySetError, EnumerationTooLargeError)
 from fqdist.geometry import (norm_table, pack_coords, pack_weights,
@@ -19,7 +18,8 @@ from fqdist.geometry import (norm_table, pack_coords, pack_weights,
 
 
 # Full-matrix references that the library's distance_set replaced; they
-# hold all n^2 differences at once, so keep them to small sets.
+# hold all n^2 differences at once, so keep them to small sets.  The
+# scalar cone form below is a reference for enumerate_cone.
 
 def pairwise_diff_packed(A):
     """(n, n) array of packed indices of x - y over ordered pairs of A."""
@@ -44,6 +44,16 @@ def pinned_distance_set(x, A):
         raise DimensionMismatchError("pin has wrong dimension")
     sub = ctx.sub
     return {norm(ctx, tuple(sub(c, a) for c, a in zip(x, pt))) for pt in A}
+
+
+def cone_norm(ctx, x):
+    """||x||_C = x_1^2 + ... + x_{n-1}^2 - x_n^2; zero exactly on the cone."""
+    if len(x) < 2:
+        raise DimensionTooSmallError("cone form needs at least 2 coordinates")
+    acc = 0
+    for c in x[:-1]:
+        acc = ctx.add(acc, ctx.mul(c, c))
+    return ctx.sub(acc, ctx.mul(x[-1], x[-1]))
 
 
 def scalar_distance_set(A):
@@ -73,8 +83,8 @@ class TestPointSet:
         A = PointSet(ctx, 2, [(2, 1), (0, 0), (2, 1), (0, 2)])
         assert A.points == ((0, 0), (0, 2), (2, 1))
         assert len(A) == 3
-        assert (2, 1) in A
-        assert (1, 1) not in A
+        assert (2, 1) in A.points
+        assert (1, 1) not in A.points
 
     def test_input_validation(self):
         ctx = make_field(3)
@@ -130,7 +140,7 @@ def test_zero_sphere_sizes_and_membership():
         ctx = make_field(p, ell)
         S = enumerate_sphere_zero(ctx, d)
         assert len(S) == want
-        assert (0,) * d in S
+        assert (0,) * d in S.points
         assert all(norm(ctx, x) == 0 for x in S)
 
 

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from fqdist import (PointSet, cone_lift_check, cone_norm, count_pairs,
-                    kernels_for, make_field, predict_from_spectrum,
-                    space_coords, spectral_masses_exact,
-                    sq_zr_fourier_residual)
+import fqdist.pairs as pairs
+from fqdist import (FieldCtx, PointSet, cone_lift_check, count_pairs,
+                    dft_indicator, kernels_for, make_field, norm,
+                    predict_from_spectrum, space_coords,
+                    spectral_masses_exact, sq_zr_fourier_residual)
 from fqdist.errors import (EmptySetError, EnumerationTooLargeError,
                            TooManyPairsError, UnsupportedDimensionError)
 from fqdist.geometry import unpack_coords
@@ -81,8 +82,82 @@ def brute_cone_incidences(A):
     for x in E:
         for y in E:
             diff = tuple(ctx.sub(a, b) for a, b in zip(x, y))
-            hits += cone_norm(ctx, diff) == 0
+            hits += norm(ctx, diff[:-1]) == ctx.mul(diff[-1], diff[-1])
     return hits
+
+
+def pair_table_cone_incidences(A):
+    """The cone lift's incidences through the q x q pair tables: each
+    lifted difference, its squares and their sum by table gathers, in
+    row blocks of at most 2^21 lifted differences.  This was the ell > 1
+    branch of cone_lift_check before it moved to F_p digits."""
+    ctx, d, q = A.ctx, A.d, A.ctx.q
+    n_lift = len(A) * q
+    lifted = np.empty((n_lift, d + 1), dtype=np.int64)
+    lifted[:, :d] = np.repeat(A.coords, q, axis=0)
+    lifted[:, d] = np.tile(np.arange(q, dtype=np.int64), len(A))
+    add_tab, sub_tab, mul_tab = ctx.pair_tables
+    incidences = 0
+    chunk = max(1, (1 << 21) // n_lift)
+    for s in range(0, n_lift, chunk):
+        diffs = sub_tab[lifted[s:s + chunk, None, :], lifted[None, :, :]]
+        sqs = mul_tab[diffs, diffs]
+        acc = sqs[:, :, 0]
+        for i in range(1, d):
+            acc = add_tab[acc, sqs[:, :, i]]
+        incidences += int((sub_tab[acc, sqs[:, :, d]] == 0).sum())
+    return incidences
+
+
+# random sets over extension fields, one point, the full space F_9^2,
+# and an ell = 1 cell: (p, ell, d, size, seed)
+CONE_ORACLE_CASES = [
+    (3, 2, 2, 20, 1), (3, 2, 2, 57, 2), (3, 2, 3, 30, 3),
+    (3, 2, 3, 110, 4), (5, 2, 2, 40, 5), (3, 3, 2, 30, 6),
+    (3, 2, 3, 1, 7), (3, 2, 2, 81, 8), (7, 1, 3, 40, 9),
+]
+
+
+@pytest.mark.parametrize("p,ell,d,size,seed", CONE_ORACLE_CASES)
+@pytest.mark.parametrize("indicator", [True, False],
+                         ids=["indicator", "factored"])
+def test_cone_lift_matches_pair_table_oracle(p, ell, d, size, seed,
+                                             indicator, monkeypatch):
+    ctx = make_field(p, ell)
+    A = random_set(ctx, d, size, seed)
+    assert len(A) == size
+    counts = count_pairs(A)
+    if not indicator:
+        # q^(d+1) over the cap: the digit path compares the prefix norm
+        # with the square of the last coordinate instead
+        monkeypatch.setattr(pairs, "ENUMERATION_CAP", ctx.q**d)
+    incidences, expected = cone_lift_check(A, counts)
+    assert incidences == pair_table_cone_incidences(A)
+    assert incidences == expected
+
+
+def test_extension_kernels_do_not_read_pair_tables(monkeypatch):
+    ctx = make_field(3, 2)
+    A = random_set(ctx, 3, 60, seed=11)
+    counts = count_pairs(A)
+    want_incidences = pair_table_cone_incidences(A)
+    want_dft = dft_indicator(A)
+
+    def refuse(self):
+        raise AssertionError("pair tables were read")
+
+    monkeypatch.setattr(FieldCtx, "pair_tables", property(refuse))
+    incidences, expected = cone_lift_check(A, counts)
+    assert incidences == want_incidences == expected
+    assert np.array_equal(dft_indicator(A), want_dft)
+
+
+def test_cone_lift_digit_path_cap():
+    ctx = make_field(3, 2)
+    A = PointSet(ctx, 8, [(0,) * 8, (1,) + (0,) * 7])
+    counts = pairs.PairCounts(sq=2, zr=2, nonsq=0)
+    with pytest.raises(EnumerationTooLargeError):
+        cone_lift_check(A, counts)  # 9^8 prefix norms are over the cap
 
 
 def test_cone_lift_identity_and_brute_force():

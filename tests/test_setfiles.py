@@ -73,6 +73,13 @@ def test_header_token_errors(tmp_path):
             read_pointset(path)
 
 
+@pytest.mark.parametrize("d", [0, -1])
+def test_header_dimension_below_one_rejected(tmp_path, d):
+    path = write_lines(tmp_path, f"fq p=3 ell=1 d={d} mod=0,1", "0")
+    with pytest.raises(ParseError, match=f"line 1.*d={d}"):
+        read_pointset(path)
+
+
 def test_non_canonical_modulus_rejected(tmp_path):
     # X^2 + X + 2 is irreducible over F_3 but not the canonical choice
     path = write_lines(tmp_path, "fq p=3 ell=2 d=1 mod=2,1,1", "4")

@@ -7,12 +7,12 @@ import pytest
 
 from fqdist import (PointSet, cone_fourier_formula, dft_indicator,
                     enumerate_cone, enumerate_sphere_zero, kernels_for,
-                    make_field, masses_numeric, space_coords,
-                    spectral_masses_exact, sphere0_fourier_formula,
-                    verify_counting_lemma, zero_mass_bounds_check)
+                    make_field, space_coords, spectral_masses_exact,
+                    sphere0_fourier_formula, verify_counting_lemma,
+                    zero_mass_bounds_check)
 from fqdist.errors import EnumerationTooLargeError, WrongParityError
 from fqdist.geometry import norm_table, pack_weights, unpack_coords
-from fqdist.spectral import _dot_chunks, _scaling_class_reps
+from fqdist.spectral import _dot_chunks, _scaling_class_reps, _trace_form
 
 CELLS = [(3, 1, 2), (5, 1, 2), (3, 2, 2), (3, 1, 3)]
 
@@ -20,6 +20,29 @@ CELLS = [(3, 1, 2), (5, 1, 2), (3, 2, 2), (3, 1, 3)]
 def random_set(ctx, d, size, seed):
     picks = np.random.default_rng(seed).permutation(ctx.q**d)[:size]
     return PointSet(ctx, d, map(tuple, unpack_coords(ctx.q, d, picks)))
+
+
+def dot_chunks_dft(A):
+    """dft_indicator before the trace form: packed field dot products
+    of every frequency with every point from _dot_chunks (q x q
+    pair-table gathers for ell > 1), read through conj(chi)."""
+    ctx, d = A.ctx, A.d
+    volume = ctx.q**d
+    conj_chi = np.conj(ctx.chi_table)
+    out = np.empty(volume, dtype=np.complex128)
+    for start, dots in _dot_chunks(ctx, space_coords(ctx, d), A.coords):
+        out[start:start + dots.shape[0]] = conj_chi[dots].sum(axis=1)
+    return out / volume
+
+
+def masses_numeric(A):
+    """(zero, plus, minus) masses via the complex DFT."""
+    ctx, d = A.ctx, A.d
+    power = np.abs(dft_indicator(A))**2
+    etas = ctx.eta_table[norm_table(ctx, d)]
+    return (float(power[etas == 0].sum()),
+            float(power[etas == 1].sum()),
+            float(power[etas == -1].sum()))
 
 
 def brute_kernels(ctx, d):
@@ -133,6 +156,38 @@ def test_exact_masses_match_numeric_dft(p, ell, d):
         numeric = masses_numeric(A)
         for got, want in zip((exact.zero, exact.plus, exact.minus), numeric):
             assert abs(float(got) - want) < 1e-9
+
+
+# random sets over extension fields, one point, the full space F_9^2,
+# and an ell = 1 cell: (p, ell, d, size, seed)
+DFT_ORACLE_CASES = [
+    (3, 2, 2, 20, 1), (3, 2, 3, 150, 2), (5, 2, 2, 200, 3),
+    (3, 3, 2, 300, 4), (3, 2, 3, 1, 5), (3, 2, 2, 81, 6),
+    (7, 1, 3, 120, 7),
+]
+
+
+@pytest.mark.parametrize("p,ell,d,size,seed", DFT_ORACLE_CASES)
+def test_dft_matches_dot_chunks_oracle(p, ell, d, size, seed):
+    ctx = make_field(p, ell)
+    A = random_set(ctx, d, size, seed)
+    got, want = dft_indicator(A), dot_chunks_dft(A)
+    assert np.abs(got - want).max() < 1e-12
+    if ell == 1:
+        # the same integer dot products, summed in the same order
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("p,ell", [(3, 1), (7, 1), (3, 2), (5, 2), (3, 3),
+                                   (7, 2)])
+def test_trace_form_is_the_trace_of_products(p, ell):
+    ctx = make_field(p, ell)
+    T = _trace_form(ctx)
+    assert np.array_equal(T, T.T)
+    rng = np.random.default_rng(p * ell)
+    for a, b in rng.integers(0, ctx.q, size=(40, 2)):
+        da, db = np.array(ctx.digits(int(a))), np.array(ctx.digits(int(b)))
+        assert (da @ T @ db) % p == ctx.trace(ctx.mul(int(a), int(b)))
 
 
 def test_full_space_concentrates_all_mass_at_the_origin():
