@@ -17,6 +17,7 @@ I/O error.
 import argparse
 import csv
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
@@ -471,15 +472,19 @@ def _check_minima(args):
                               f"got {value}")
 
 
-def _check_outputs(args):
+def _check_outputs(args, created):
     """Open every output target before the work starts, so a path that
     cannot be written fails at once, before any report is printed.
     Append mode creates a missing file and leaves an existing one (which
-    may be the input) as it is until the command writes it."""
+    may be the input) as it is until the command writes it.  Each file
+    this creates is appended to `created`."""
     for name in ("output", "csv", "witness_out"):
         path = getattr(args, name, None)
         if path:
+            new = not os.path.exists(path)
             open(path, "a").close()
+            if new:
+                created.append(path)
 
 
 def main(argv=None) -> int:
@@ -488,11 +493,16 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    created = []
     try:
         _check_minima(args)
-        _check_outputs(args)
+        _check_outputs(args, created)
         return args.func(args)
     except (FqdistError, OSError) as exc:
+        # a failed command leaves no empty file behind
+        for path in created:
+            if os.path.isfile(path) and os.path.getsize(path) == 0:
+                os.remove(path)
         print(f"fqdist: error: {exc}", file=sys.stderr)
         return 1
 

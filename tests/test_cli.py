@@ -179,6 +179,8 @@ def test_domain_and_io_errors_exit_one(tmp_path, capsys):
     flat = tmp_path / "flat.txt"
     flat.write_text("fq p=3 ell=1 d=0 mod=0,1\n0\n")
     unwritable = str(tmp_path / "no-such-dir" / "out")
+    kept = tmp_path / "kept.json"
+    kept.write_text("")
     cases = [
         ["gauss", "--p", "4"],                              # 4 is not prime
         ["analyze", "--set", str(tmp_path / "missing.txt")],
@@ -211,6 +213,15 @@ def test_domain_and_io_errors_exit_one(tmp_path, capsys):
          unwritable],
         ["analyze", "--set", str(line)],    # d = 1: no check would run
         ["analyze", "--set", str(flat)],    # d = 0 in the header
+        # a command that fails after its targets were opened removes the
+        # files it created and leaves an existing one alone
+        ["verify", "--p", "4", "--d", "2",
+         "--output", str(tmp_path / "new-report.json"),
+         "--csv", str(tmp_path / "new-rows.csv")],
+        ["verify", "--p", "4", "--d", "2", "--output", str(kept)],
+        ["search-square", "--p", "3", "--d", "3", "--strategy",
+         "exhaustive", "--node-budget", "1",
+         "--witness-out", str(tmp_path / "new-witness.txt")],
     ]
     for argv in cases:
         assert main(argv) == 1, argv
@@ -221,6 +232,8 @@ def test_domain_and_io_errors_exit_one(tmp_path, capsys):
             (argv, captured.err)
         if "--node-budget" in argv:
             assert "--node-budget" in lines[0], lines[0]
+    assert not list(tmp_path.glob("new-*"))
+    assert kept.exists()
 
 
 def test_violations_exit_two(capsys, monkeypatch):

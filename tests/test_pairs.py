@@ -115,21 +115,21 @@ CONE_ORACLE_CASES = [
     (3, 2, 2, 20, 1), (3, 2, 2, 57, 2), (3, 2, 3, 30, 3),
     (3, 2, 3, 110, 4), (5, 2, 2, 40, 5), (3, 3, 2, 30, 6),
     (3, 2, 3, 1, 7), (3, 2, 2, 81, 8), (7, 1, 3, 40, 9),
+    (3, 6, 2, 2, 10),   # q^(d+1) = 729^3: over the cap, past int32
 ]
 
 
 @pytest.mark.parametrize("p,ell,d,size,seed", CONE_ORACLE_CASES)
-@pytest.mark.parametrize("indicator", [True, False],
-                         ids=["indicator", "factored"])
-def test_cone_lift_matches_pair_table_oracle(p, ell, d, size, seed,
-                                             indicator, monkeypatch):
+@pytest.mark.parametrize("table", [True, False], ids=["table", "lookup"])
+def test_cone_lift_matches_pair_table_oracle(p, ell, d, size, seed, table,
+                                             monkeypatch):
     ctx = make_field(p, ell)
     A = random_set(ctx, d, size, seed)
     assert len(A) == size
     counts = count_pairs(A)
-    if not indicator:
+    if not table:
         # q^(d+1) over the cap: the digit path compares the prefix norm
-        # with the square of the last coordinate instead
+        # with the square of the last coordinate instead of one table
         monkeypatch.setattr(pairs, "ENUMERATION_CAP", ctx.q**d)
     incidences, expected = cone_lift_check(A, counts)
     assert incidences == pair_table_cone_incidences(A)
