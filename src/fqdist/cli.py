@@ -31,11 +31,14 @@ from .errors import FqdistError
 from .field import make_field
 from .generators import (GenSpec, exhaustive_square_distance_max, generate,
                          greedy_square_distance_search)
-from .geometry import PointSet, distance_set, unpack_coords
+from .geometry import (PointSet, distance_set, enumerate_cone,
+                       enumerate_sphere_zero, unpack_coords)
 from .pairs import (MASTER_CAP, PAIR_CAP, cone_lift_check, count_pairs,
                     predict_from_spectrum, sq_zr_fourier_residual)
 from .setfiles import read_pointset, write_pointset
-from .spectral import (DFT_CAP, kernels_for, spectral_masses_exact,
+from .spectral import (DFT_CAP, cone_fourier_formula, dft_indicator,
+                       kernels_for, sphere0_fourier_formula,
+                       spectral_masses_exact, verify_counting_lemma,
                        zero_mass_bounds_check)
 
 SIGN_TABLE_MAX_N = 12
@@ -129,32 +132,31 @@ def cmd_gauss(args) -> int:
     return 0 if tally.clean else 2
 
 
-# --------------------------------------------------------------- verify
+# ------------------------------------------------------- per-set checks
 
-def _check_one_set(task) -> dict:
-    """All per-set checks for one verify task; used by workers too."""
-    p, ell, d, seed, pts = task
-    ctx = make_field(p, ell)
+def _check_set(A: PointSet, check):
+    """Run every per-set check on A, reporting each through
+    check(name, ok, detail); shared by verify's workers and analyze.
+
+    Returns (counts, masses, zero_mass, bound_rows).  masses is None when
+    q^d > DFT_CAP or a spectral guard raised before they were computed;
+    zero_mass is None unless there are masses and d is odd and >= 3."""
+    ctx, d, n = A.ctx, A.d, len(A)
     q = ctx.q
-    A = PointSet(ctx, d, pts)
-    n = len(A)
-    out = {"seed": seed, "size": n, "checks": [], "bound_rows": []}
-
-    def check(name, ok, detail=None):
-        out["checks"].append((name, bool(ok), detail))
-
     counts = count_pairs(A)
-    masses = None
-    try:
-        masses = spectral_masses_exact(A, kernels_for(ctx, d))
-        predicted = predict_from_spectrum(A, masses)
-    except ArithmeticError as exc:
-        # a guard inside the spectral pipeline saw a broken identity
-        check("oracle_equivalence", False, {"error": str(exc)})
-    else:
-        check("oracle_equivalence", predicted == counts,
-              {"counted": [counts.sq, counts.zr, counts.nonsq],
-               "predicted": [predicted.sq, predicted.zr, predicted.nonsq]})
+    masses = zm = None
+    if q**d <= DFT_CAP:
+        try:
+            masses = spectral_masses_exact(A, kernels_for(ctx, d))
+            predicted = predict_from_spectrum(A, masses)
+        except ArithmeticError as exc:
+            # a guard inside the spectral pipeline saw a broken identity
+            check("oracle_equivalence", False, {"error": str(exc)})
+        else:
+            check("oracle_equivalence", predicted == counts,
+                  {"counted": [counts.sq, counts.zr, counts.nonsq],
+                   "predicted": [predicted.sq, predicted.zr,
+                                 predicted.nonsq]})
     if (n * q)**2 <= PAIR_CAP:
         incidences, expected = cone_lift_check(A, counts)
         check("cone_lift", incidences == expected,
@@ -167,8 +169,9 @@ def _check_one_set(task) -> dict:
         if d % 2 == 1 and d >= 3:
             zm = zero_mass_bounds_check(A, masses)
             check("zero_mass_refined", zm.holds, {"zero": rat(zm.mass_zero)})
+    rows = []
     for rep in check_all(A, counts):
-        out["bound_rows"].append({
+        rows.append({
             "name": rep.name, "case": rep.case.case_id,
             "branch": rep.branch, "lhs": rat(rep.lhs), "rhs": rat(rep.rhs),
             "holds": rep.holds, "slack": rat(rep.slack)})
@@ -178,15 +181,25 @@ def _check_one_set(task) -> dict:
         residual = sq_zr_fourier_residual(A, counts)
         check("direct_identity", residual < 1e-6 * n * n,
               {"residual": residual})
-    return out
+    return counts, masses, zm, rows
+
+
+# --------------------------------------------------------------- verify
+
+def _check_one_set(task) -> dict:
+    """The per-set checks of one verify task; run by workers too."""
+    p, ell, d, seed, pts = task
+    A = PointSet(make_field(p, ell), d, pts)
+    checks = []
+    _, _, _, rows = _check_set(
+        A, lambda name, ok, detail: checks.append((name, bool(ok), detail)))
+    return {"seed": seed, "size": len(A), "checks": checks,
+            "bound_rows": rows}
 
 
 def _run_formula_checks(ctx, d: int, tasks, tally: "_Tally", cell: dict):
     """Once-per-cell checks of the closed-form transforms and the
     counting identity; follows the same tolerances as the sweep."""
-    from .geometry import enumerate_cone, enumerate_sphere_zero
-    from .spectral import (cone_fourier_formula, dft_indicator,
-                           sphere0_fourier_formula, verify_counting_lemma)
     q = ctx.q
     if q**(d + 1) <= MASTER_CAP:
         cone = enumerate_cone(ctx, d + 1)
@@ -264,50 +277,28 @@ def cmd_verify(args) -> int:
 
 def cmd_analyze(args) -> int:
     A = read_pointset(args.set)
-    ctx, d, n = A.ctx, A.d, len(A)
+    ctx, d = A.ctx, A.d
     if d < 2:
-        # every check of analyze needs d >= 2; none would run
+        # the spectral prediction and the bound clauses need d >= 2
         raise FqdistError(f"analyze needs d >= 2, got d = {d} in {args.set}")
     tally = _Tally()
-    counts = count_pairs(A)
+    counts, masses, zm, rows = _check_set(A, tally.hit)
     results = {
         "set": {"p": ctx.p, "ell": ctx.ell, "d": d,
                 "mod": list(ctx.modulus),
                 "points": [list(pt) for pt in A]},
-        "size": n,
+        "size": len(A),
         "pair_counts": {"sq": counts.sq, "zr": counts.zr,
                         "nonsq": counts.nonsq},
         "distance_set": sorted(distance_set(A)),
         "is_square_distance_set": counts.nonsq == 0,
     }
-    masses = None
-    if ctx.q**d <= DFT_CAP:
-        try:
-            masses = spectral_masses_exact(A, kernels_for(ctx, d))
-            predicted = predict_from_spectrum(A, masses)
-        except ArithmeticError as exc:
-            tally.hit("oracle_equivalence", False, {"error": str(exc)})
-        else:
-            tally.hit("oracle_equivalence", predicted == counts,
-                      {"predicted": [predicted.sq, predicted.zr,
-                                     predicted.nonsq]})
-        if masses is not None:
-            results["masses"] = {"zero": rat(masses.zero),
-                                 "plus": rat(masses.plus),
-                                 "minus": rat(masses.minus)}
-    bound_rows = []
-    for rep in check_all(A, counts):
-        tally.hit(f"bound_{rep.name}", rep.holds,
-                  {"lhs": rat(rep.lhs), "rhs": rat(rep.rhs)})
-        bound_rows.append({
-            "name": rep.name, "case": rep.case.case_id,
-            "branch": rep.branch, "lhs": rat(rep.lhs),
-            "rhs": rat(rep.rhs), "holds": rep.holds,
-            "slack": rat(rep.slack)})
-    results["bounds"] = bound_rows
-    if masses is not None and d % 2 == 1 and d >= 3:
-        zm = zero_mass_bounds_check(A, masses)
-        tally.hit("zero_mass_refined", zm.holds)
+    if masses is not None:
+        results["masses"] = {"zero": rat(masses.zero),
+                             "plus": rat(masses.plus),
+                             "minus": rat(masses.minus)}
+    results["bounds"] = rows
+    if zm is not None:
         results["zero_mass"] = {
             "mass_zero": rat(zm.mass_zero), "lower": rat(zm.lower),
             "upper_plancherel": rat(zm.upper_plancherel),

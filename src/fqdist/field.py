@@ -283,9 +283,6 @@ class FieldCtx:
             idx = idx * self.p + c
         return idx
 
-    def elements(self):
-        return range(self.q)
-
     # -- field operations ------------------------------------------------
 
     def add(self, a, b):

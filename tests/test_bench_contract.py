@@ -12,6 +12,9 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
+
+from fqdist import GenSpec, generate, make_field, write_pointset
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -39,18 +42,32 @@ def test_tracer_wraps_and_runs_the_cli(tmp_path):
     assert spans.exists()
 
 
-def test_tracer_counts_work_of_a_verify_run(tmp_path):
+@pytest.mark.parametrize("command", ["verify", "analyze"])
+def test_tracer_counts_work_of_a_verify_run(command, tmp_path):
     # the tracer reads the point set from each call's first positional
-    # argument; a call that passes it otherwise fails the run here
+    # argument; a call that passes it otherwise fails the run here.  The
+    # per-set checks must call each layer through cli's module globals,
+    # or the tracer counts no call of it and charges its time to cli
     spans = tmp_path / "s.npz"
-    out = run_bench_script("bench/tracer.py", str(spans), "verify",
-                           "--p", "3", "--d", "3", "--trials", "2",
-                           "--size-min", "4", "--size-max", "6")
+    if command == "verify":
+        args = ["--p", "3", "--d", "3", "--trials", "2",
+                "--size-min", "4", "--size-max", "6"]
+        counted = ("count_pairs", "cone_lift_check", "dft_indicator")
+    else:
+        path = tmp_path / "set.txt"
+        write_pointset(generate(make_field(3), 3,
+                                GenSpec(kind="random", size=6, seed=0)),
+                       path)
+        args = ["--set", str(path)]
+        counted = ("count_pairs", "cone_lift_check")
+    out = run_bench_script("bench/tracer.py", str(spans), command, *args)
     assert out.returncode == 0, out.stderr
     with np.load(spans) as data:
-        work = json.loads(str(data["meta"]))["work"]
-    for name in ("count_pairs", "cone_lift_check", "dft_indicator"):
-        assert work.get(name, 0) > 0, (name, work)
+        meta = json.loads(str(data["meta"]))
+    for name in counted:
+        assert meta["work"].get(name, 0) > 0, (name, meta["work"])
+    for name in ("count_pairs", "cone_lift_check", "spectral_masses_exact"):
+        assert meta["calls"].get(name, 0) > 0, (name, meta["calls"])
 
 
 def test_tracer_counts_distance_pairs_of_a_coverage_run(tmp_path):

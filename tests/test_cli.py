@@ -137,6 +137,21 @@ def test_analyze_command(tmp_path, capsys):
     assert report2 == report
 
 
+def test_analyze_runs_the_per_set_checks_of_verify(tmp_path, capsys):
+    path = tmp_path / "set.txt"
+    write_pointset(generate(make_field(7), 3,
+                            GenSpec(kind="random", size=40, seed=1)), path)
+    code, analyzed = run(capsys, "analyze", "--set", str(path))
+    assert code == 0
+    code, verified = run(capsys, "verify", "--p", "7", "--d", "3",
+                         "--trials", "1", "--size-min", "40",
+                         "--size-max", "40")
+    assert code == 0
+    per_cell = {"cone_transform", "sphere_transform", "counting_lemma"}
+    assert per_cell <= set(per_check(verified))
+    assert set(per_check(analyzed)) == set(per_check(verified)) - per_cell
+
+
 def test_search_square_command(tmp_path, capsys):
     witness = tmp_path / "witness.txt"
     code, report = run(capsys, "search-square", "--p", "5", "--d", "2",
@@ -211,7 +226,7 @@ def test_domain_and_io_errors_exit_one(tmp_path, capsys):
          "--output", unwritable],
         ["search-square", "--p", "3", "--d", "2", "--witness-out",
          unwritable],
-        ["analyze", "--set", str(line)],    # d = 1: no check would run
+        ["analyze", "--set", str(line)],    # d = 1: the checks need d >= 2
         ["analyze", "--set", str(flat)],    # d = 0 in the header
         # a command that fails after its targets were opened removes the
         # files it created and leaves an existing one alone

@@ -18,7 +18,7 @@ from fqdist.characters import GaussSignPair
 from fqdist.cli import main
 
 
-def kernel_off_by_one(monkeypatch):
+def kernel_off_by_one(monkeypatch, rebind, p):
     real = spectral.kernels_for
 
     def corrupt(ctx, d):
@@ -31,7 +31,7 @@ def kernel_off_by_one(monkeypatch):
     monkeypatch.setattr(cli, "kernels_for", corrupt)
 
 
-def gauss_signs_flipped(monkeypatch):
+def gauss_signs_flipped(monkeypatch, rebind, p):
     real = pairs.gauss_signs
 
     def flipped(n, ctx):
@@ -51,22 +51,12 @@ def violated_checks(capsys):
 
 @pytest.mark.parametrize("fault", FAULTS)
 @pytest.mark.parametrize("p", [3, 7])
-def test_verify_reports_injected_fault(fault, p, monkeypatch, capsys):
-    fault(monkeypatch)
+def test_verify_reports_injected_fault(fault, p, rebind, monkeypatch,
+                                       capsys):
+    fault(monkeypatch, rebind, p)
     code = main(["verify", "--p", str(p), "--d", "3", "--trials", "3",
                  "--size-min", "10", "--size-max", "20"])
     assert code == 2
-    assert "oracle_equivalence" in violated_checks(capsys)
-
-
-@pytest.mark.parametrize("fault", FAULTS)
-def test_analyze_reports_injected_fault(fault, tmp_path, monkeypatch,
-                                        capsys):
-    path = tmp_path / "set.txt"
-    write_pointset(generate(make_field(7), 3,
-                            GenSpec(kind="random", size=15, seed=2)), path)
-    fault(monkeypatch)
-    assert main(["analyze", "--set", str(path)]) == 2
     assert "oracle_equivalence" in violated_checks(capsys)
 
 
@@ -114,6 +104,26 @@ def test_verify_names_the_check_a_shared_input_breaks(fault, names, p,
     code = main(["verify", "--p", str(p), "--d", "3", "--trials", "1",
                  "--size-min", str(p**3)])
     assert code == 2
+    assert names <= violated_checks(capsys)
+
+
+# analyze runs the same per-set checks: each fault above on a random
+# 15-point set in F_7^3, each shared-input fault on the full space F_3^3
+ANALYZE_FAULTS = (
+    [(fault, 7, GenSpec(kind="random", size=15, seed=2),
+      {"oracle_equivalence"}) for fault in FAULTS]
+    + [(fault, 3, GenSpec(kind="full_space"), names)
+       for fault, names in SHARED_INPUT_FAULTS])
+
+
+@pytest.mark.parametrize("fault,p,spec,names", ANALYZE_FAULTS,
+                         ids=[f.__name__ for f, *_ in ANALYZE_FAULTS])
+def test_analyze_reports_injected_fault(fault, p, spec, names, tmp_path,
+                                        rebind, monkeypatch, capsys):
+    path = tmp_path / "set.txt"
+    write_pointset(generate(make_field(p), 3, spec), path)
+    fault(monkeypatch, rebind, p)
+    assert main(["analyze", "--set", str(path)]) == 2
     assert names <= violated_checks(capsys)
 
 
