@@ -17,6 +17,7 @@ I/O error.
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -357,6 +358,13 @@ def cmd_coverage(args) -> int:
         raise FqdistError("no seeds given")
     if min(seeds) < 0:
         raise FqdistError(f"--seeds must be non-negative, got {min(seeds)}")
+    # |A| >= 4 q^((d+1)/2), compared as n^2 >= 16 q^(d+1) to stay exact;
+    # a set below it would be reported with nothing checked
+    bound = 16 * q**(d + 1)
+    least = math.isqrt(bound - 1) + 1
+    if args.size < least:
+        raise FqdistError(f"--size {args.size} is below {least}, the least "
+                          f"size n with n^2 >= 16 q^(d+1) = {bound}")
     tally = _Tally()
     per_seed = []
     for seed in seeds:
@@ -364,17 +372,14 @@ def cmd_coverage(args) -> int:
                                      seed=seed))
         n = len(A)
         distances = distance_set(A)
-        # |A| >= 4 q^((d+1)/2), compared as n^2 >= 16 q^(d+1) to stay exact
-        hypothesis = n * n >= 16 * q**(d + 1)
         full = len(distances) == q
         per_seed.append({"seed": seed, "size": n,
                          "distinct_distances": len(distances),
                          "coverage": len(distances) / q,
-                         "hypothesis_met": hypothesis})
-        if hypothesis:
-            tally.hit("full_coverage", full,
-                      {"seed": seed, "size": n,
-                       "distinct_distances": len(distances)})
+                         "hypothesis_met": n * n >= bound})
+        tally.hit("full_coverage", full,
+                  {"seed": seed, "size": n,
+                   "distinct_distances": len(distances)})
     results = {"per_seed": per_seed}
     config = {"p": args.p, "ell": args.ell, "d": d, "size": args.size,
               "seeds": seeds}

@@ -26,7 +26,7 @@ from .errors import (
 )
 
 # Desk-scale guardrails: fields above 2^20 elements are refused outright,
-# and q x q numpy lookup tables are only materialized for small q.
+# and the q x q pair tables are only materialized for small q.
 CONSTRUCTION_CAP = 1 << 20
 PAIR_TABLE_CAP = 4096
 
@@ -346,10 +346,13 @@ class FieldCtx:
 
     @property
     def pair_tables(self):
-        """(add, sub, mul) as q x q int32 arrays, for vectorized kernels.
+        """(add, sub, mul) as q x q int32 arrays.
 
-        Only available for q <= PAIR_TABLE_CAP; larger fields use the
-        scalar operations or, for ell = 1, plain modular numpy arithmetic.
+        Only available for q <= PAIR_TABLE_CAP.  No fqdist module reads
+        them: vector arithmetic works on F_p digits and trace forms for
+        every q.  They are kept for the benchmark's set-up probe and span
+        tracer and as the tests' oracle of the digit arithmetic, until the
+        benchmark stops reading them.
         """
         if self._pair_tables is None:
             q = self.q

@@ -9,6 +9,8 @@ deduplicated and sorted lexicographically, so hashes, file dumps and
 report output are deterministic.  Bulk work uses numpy over packed vector
 indices: a vector (c_0, ..., c_{d-1}) packs to sum c_i * q^(d-1-i), which
 makes packed order agree with tuple order.
+Vector arithmetic works digit by digit on the F_p digits of element
+indices for every q = p^ell, with no q x q table.
 """
 
 import numpy as np
@@ -175,26 +177,31 @@ def cone_norm_table(ctx, n):
     if tab is None:
         _check_cap(ctx.q, n)
         sq = _square_values(ctx)
-        neg_sq = np.array([ctx.neg(int(s)) for s in sq], dtype=np.int64)
         prefix = norm_table(ctx, n - 1)
-        tab = _add_elementwise(ctx, prefix[:, None], neg_sq[None, :]).reshape(-1)
+        tab = _sub_elementwise(ctx, prefix[:, None], sq[None, :]).reshape(-1)
         tab.setflags(write=False)
         _CONE_TABLES[key] = tab
     return tab
 
 
 def _add_elementwise(ctx, a, b):
-    if ctx.ell == 1:
-        return (a + b) % ctx.p
-    add_tab = ctx.pair_tables[0]
-    return add_tab[a, b].astype(np.int64)
+    """a + b on element arrays: digit k is (a // p^k + b // p^k) mod p."""
+    p = ctx.p
+    out, weight = (a + b) % p, 1
+    for _ in range(ctx.ell - 1):
+        weight *= p
+        out += (a // weight + b // weight) % p * weight
+    return out
 
 
 def _sub_elementwise(ctx, a, b):
-    if ctx.ell == 1:
-        return (a - b) % ctx.p
-    sub_tab = ctx.pair_tables[1]
-    return sub_tab[a, b].astype(np.int64)
+    """a - b on element arrays: digit k is (a // p^k - b // p^k) mod p."""
+    p = ctx.p
+    out, weight = (a - b) % p, 1
+    for _ in range(ctx.ell - 1):
+        weight *= p
+        out += (a // weight - b // weight) % p * weight
+    return out
 
 
 def space_coords(ctx, d):

@@ -18,10 +18,10 @@ import numpy as np
 from .characters import gauss_closed, gauss_signs
 from .errors import (EmptySetError, EnumerationTooLargeError,
                      TooManyPairsError, UnsupportedDimensionError)
-from .geometry import (ENUMERATION_CAP, PointSet, _digit_weights,
-                       _packed_digits, _square_values, _sub_elementwise,
-                       norm_table)
-from .spectral import SpectralMass, dft_indicator
+from .geometry import (ENUMERATION_CAP, PointSet, _add_elementwise,
+                       _digit_weights, _packed_digits, _square_values,
+                       _sub_elementwise, norm_table)
+from .spectral import SpectralMass, _inner_sum_table, dft_indicator
 
 PAIR_CAP = 10**9
 MASTER_CAP = 10**5
@@ -47,7 +47,8 @@ def _check_pair_budget(n: int):
 
 def count_pairs(A: PointSet) -> PairCounts:
     """Classify all ordered pairs of A by the quadratic class of the
-    distance, by direct enumeration."""
+    distance, by direct enumeration: through the packed norm table, or
+    above its cap by summing the squares of the coordinates."""
     if len(A) == 0:
         raise EmptySetError("pair counts need a nonempty set")
     ctx, d, n = A.ctx, A.d, len(A)
@@ -58,9 +59,8 @@ def count_pairs(A: PointSet) -> PairCounts:
         ntab = norm_table(ctx, d)
         weights = np.array([ctx.q**(d - 1 - i) for i in range(d)],
                            dtype=np.int64)
-    elif ctx.ell > 1:
-        raise EnumerationTooLargeError(
-            f"q^d = {ctx.q**d} exceeds cap {ENUMERATION_CAP}")
+    else:
+        squares = _square_values(ctx)
     sq = zr = 0
     chunk = max(1, (1 << 21) // max(n, 1))
     for s in range(0, n, chunk):
@@ -69,7 +69,10 @@ def count_pairs(A: PointSet) -> PairCounts:
         if small:
             norms = ntab[diffs.reshape(-1, d) @ weights]
         else:
-            norms = (diffs**2).sum(axis=2).reshape(-1) % ctx.p
+            norms = squares[diffs[..., 0]]
+            for i in range(1, d):
+                norms = _add_elementwise(ctx, norms, squares[diffs[..., i]])
+            norms = norms.reshape(-1)
         etas = ctx.eta_table[norms]
         sq += int((etas == 1).sum())
         zr += int((norms == 0).sum())
@@ -80,19 +83,14 @@ def _prefix_norms(ctx, d, squares):
     """prefix[v] = ||v|| over packed F_q^d, as a packed element.
 
     Built from `squares` (squares[a] = a^2) alone, adding them coordinate
-    by coordinate with digit-wise sums mod p; `norm_table` and
-    `cone_norm_table` are not read, so the cone lift shares no norm code
-    with `count_pairs` or the spectral pipeline.
+    by coordinate; the cached `norm_table` and `cone_norm_table` are not
+    read, so the cone lift shares no norm table with `count_pairs` or the
+    spectral pipeline.
     """
-    p = ctx.p
     prefix = squares
     for _ in range(d - 1):
-        a, b = prefix[:, None], squares[None, :]
-        total, weight = 0, 1
-        for _ in range(ctx.ell):
-            total = total + (a // weight + b // weight) % p * weight
-            weight *= p
-        prefix = total.reshape(-1)
+        prefix = _add_elementwise(ctx, prefix[:, None],
+                                  squares[None, :]).reshape(-1)
     return prefix
 
 
@@ -233,13 +231,8 @@ def sq_zr_fourier_residual(A: PointSet, counts: PairCounts) -> float:
             f"q^d = {q**d} exceeds direct-identity cap {MASTER_CAP}")
     exact = counts.sq + counts.zr / 2
     power = np.abs(dft_indicator(A))**2
-    mul_tab = ctx.pair_tables[2]
-    odd_power = (d + 1) % 2 == 1
-    inner = np.zeros(q, dtype=np.complex128)
-    for s in range(1, q):
-        coeff = ctx.eta(s) if odd_power else 1
-        inner += coeff * ctx.chi_table[mul_tab[:, s]]
-    weight = inner[norm_table(ctx, d)]
+    # sum_s eta^(d+1)(s) chi(s t) is, with u = 1/s, that inner sum at c = 1
+    weight = _inner_sum_table(ctx, d + 1, 1)[norm_table(ctx, d)]
     coeff = (q**(d - 1) * ctx.eta(ctx.neg(1))**d * gauss_closed(ctx)**(d + 1)
              / 2)
     rhs = n * n / 2 + coeff * np.sum(weight * power)

@@ -13,6 +13,9 @@ each norm class.  So the kernels are three tables of q integers indexed
 by the norm, plus their values at the origin, and the closed-form sphere
 and cone transforms are functions of the norm too.
 
+Dot products are taken on F_p digits through the trace forms
+Tr(X^k * a * b) for every q = p^ell, and chi(z) = exp(2 pi i Tr(z) / p).
+
 Two independent pipelines are kept alive on purpose.  The exact one goes
 through the integer kernel tables and `Fraction`; the numeric one goes
 through a complex DFT.  They must agree to float precision, and the
@@ -29,8 +32,7 @@ from .characters import gauss_closed
 from .errors import EmptySetError, EnumerationTooLargeError, WrongParityError
 from .field import FieldCtx
 from .geometry import (PointSet, _packed_digits, _sub_elementwise,
-                       cone_norm_table, norm_table, pack_weights,
-                       unpack_coords)
+                       cone_norm_table, norm_table, pack_weights)
 
 DFT_CAP = 10**6
 
@@ -41,35 +43,15 @@ def _check_transform_size(q: int, d: int):
             f"transform space q^d = {q**d} exceeds cap {DFT_CAP}")
 
 
-def _dot_chunks(ctx, rows: np.ndarray, cols: np.ndarray, chunk: int = None):
-    """Yield (start, dots) where dots[i, j] is the field dot product of
-    rows[start + i] with cols[j], as packed element indices."""
-    nrows, ncols = rows.shape[0], cols.shape[0]
-    if chunk is None:
-        chunk = max(1, (1 << 22) // max(ncols, 1))
-    if ctx.ell == 1:
-        colsT = cols.T
-        for s in range(0, nrows, chunk):
-            block = rows[s:s + chunk]
-            yield s, (block @ colsT) % ctx.p
-    else:
-        add_tab, _, mul_tab = ctx.pair_tables
-        d = rows.shape[1]
-        for s in range(0, nrows, chunk):
-            block = rows[s:s + chunk]
-            acc = mul_tab[block[:, 0][:, None], cols[:, 0][None, :]]
-            for i in range(1, d):
-                term = mul_tab[block[:, i][:, None], cols[:, i][None, :]]
-                acc = add_tab[acc, term]
-            yield s, acc
-
-
-def _trace_form(ctx) -> np.ndarray:
-    """Gram matrix T[j, k] = Tr(X^j * X^k) of the trace form on the
-    basis 1, X, ..., X^(ell-1) of F_q over F_p; [[1]] when ell = 1."""
+def _trace_forms(ctx) -> np.ndarray:
+    """(ell, ell, ell) array of the Gram matrices T_k[j, l] =
+    Tr(X^k * X^j * X^l) on the basis 1, X, ..., X^(ell-1) of F_q over
+    F_p, so Tr(X^k * a * b) = digits(a) . T_k . digits(b) mod p.  T_0 is
+    the trace form; it is nondegenerate, so z = 0 exactly when
+    Tr(X^k * z) = 0 for every k."""
     basis = [ctx.p**j for j in range(ctx.ell)]  # packed index of X^j
-    return np.array([[ctx.trace(ctx.mul(a, b)) for b in basis]
-                     for a in basis], dtype=np.int64)
+    return np.array([[[ctx.trace(ctx.mul(ctx.mul(xk, a), b)) for b in basis]
+                      for a in basis] for xk in basis], dtype=np.int64)
 
 
 def dft_indicator(A: PointSet) -> np.ndarray:
@@ -78,7 +60,7 @@ def dft_indicator(A: PointSet) -> np.ndarray:
     Returns a complex array over packed frequencies m with
     out[m] = q^(-d) sum_{x in A} chi(-m . x).
 
-    The trace is F_p-bilinear, so with T the trace form (`_trace_form`)
+    The trace is F_p-bilinear, so with T the trace form (`_trace_forms`)
     Tr(m . x) = digits(m) . (I_d (x) T) . digits(x) mod p on the F_p
     digits of the packed indices: one integer matmul per block of
     frequencies, and chi read from a table of length p.  At ell = 1, T
@@ -87,7 +69,7 @@ def dft_indicator(A: PointSet) -> np.ndarray:
     ctx, d, p = A.ctx, A.d, A.ctx.p
     _check_transform_size(ctx.q, d)
     volume = ctx.q**d
-    form = np.kron(np.eye(d, dtype=np.int64), _trace_form(ctx))
+    form = np.kron(np.eye(d, dtype=np.int64), _trace_forms(ctx)[0])
     pts = (_packed_digits(ctx, d, A.packed()) @ form % p).T
     conj_chi = np.conj(np.exp(2j * cmath.pi
                               * np.arange(p, dtype=np.float64) / p))
@@ -132,19 +114,12 @@ class KernelTable:
 
 def _scaling_class_reps(ctx, d: int) -> np.ndarray:
     """One representative per scaling class of nonzero vectors: the
-    vectors whose first nonzero coordinate is 1.  Shape (R, d) with
-    R = (q^d - 1) / (q - 1)."""
+    vectors whose first nonzero coordinate is 1, as R = (q^d - 1) / (q - 1)
+    packed indices.  Those with `free` coordinates after the leading 1
+    pack to q^free + (0, ..., q^free - 1)."""
     q = ctx.q
-    blocks = []
-    for lead in range(d):
-        free = d - 1 - lead
-        block = np.zeros((q**free, d), dtype=np.int64)
-        block[:, lead] = 1
-        rest = np.arange(q**free, dtype=np.int64)
-        for j in range(free):
-            block[:, lead + 1 + j] = (rest // q**(free - 1 - j)) % q
-        blocks.append(block)
-    return np.concatenate(blocks, axis=0)
+    return np.concatenate([q**free + np.arange(q**free, dtype=np.int64)
+                           for free in range(d - 1, -1, -1)])
 
 
 def kernels_for(ctx: FieldCtx, d: int) -> KernelTable:
@@ -152,25 +127,34 @@ def kernels_for(ctx: FieldCtx, d: int) -> KernelTable:
 
     Takes one nonzero vector per norm value and sums characters against
     it, one scaling class of frequencies at a time: O(q^d) time and O(q)
-    memory.  Uses only field arithmetic, never pair counts.
+    memory.  Uses only field arithmetic, never pair counts.  rep . v = 0
+    is tested on F_p digits as Tr(X^k * rep . v) = 0 for every k < ell.
     """
     _check_transform_size(ctx.q, d)
-    q = ctx.q
+    q, p, ell = ctx.q, ctx.p, ctx.ell
     volume = q**d
     ntab = norm_table(ctx, d)
-    reps = _scaling_class_reps(ctx, d)
-    rep_eta = ctx.eta_table[ntab[reps @ pack_weights(q, d)]]
+    packed_reps = _scaling_class_reps(ctx, d)
+    rep_eta = ctx.eta_table[ntab[packed_reps]]
+    rep_digits = _packed_digits(ctx, d, packed_reps)
     # the first nonzero packed vector of each norm value that occurs
     first = np.full(q, volume, dtype=np.int64)
     np.minimum.at(first, ntab[1:], np.arange(1, volume, dtype=np.int64))
     norms = np.nonzero(first < volume)[0]
-    vecs = unpack_coords(q, d, first[norms])
+    vec_digits = _packed_digits(ctx, d, first[norms]).T
+    eye = np.eye(d, dtype=np.int64)
+    # column k * len(norms) + j: Tr(X^k * m . v_j) as a form in m's digits
+    forms = np.concatenate([np.kron(eye, t) @ vec_digits % p
+                            for t in _trace_forms(ctx)], axis=1)
     signs = (0, 1, -1)
     hits = {sign: np.zeros(len(norms), dtype=np.int64) for sign in signs}
-    for start, dots in _dot_chunks(ctx, reps, vecs):
-        etas = rep_eta[start:start + dots.shape[0]]
+    chunk = max(1, (1 << 22) // forms.shape[1])
+    for start in range(0, len(rep_digits), chunk):
+        dots = rep_digits[start:start + chunk] @ forms % p
+        zero = (dots == 0).reshape(len(dots), ell, len(norms)).all(axis=1)
+        etas = rep_eta[start:start + chunk]
         for sign in signs:
-            hits[sign] += (dots[etas == sign] == 0).sum(axis=0)
+            hits[sign] += zero[etas == sign].sum(axis=0)
     tables, sizes = {}, {}
     for sign in signs:
         sizes[sign] = int((rep_eta == sign).sum())
@@ -250,14 +234,18 @@ def spectral_masses_exact(A: PointSet, kernels: KernelTable) -> SpectralMass:
 
 def _inner_sum_table(ctx, n: int, denom_scale: int) -> np.ndarray:
     """Table over t in F_q of sum_{s != 0} eta^n(s) chi(t / (c*s)) where
-    c is the field element denom_scale mod p (c = +-4 in practice)."""
-    c = denom_scale % ctx.p
-    mul_tab = ctx.pair_tables[2]
-    out = np.zeros(ctx.q, dtype=np.complex128)
-    for s in range(1, ctx.q):
+    c is the field element denom_scale mod p (c = +-4 or 1 in practice).
+    chi(t * u) is read through the trace form, in O(q) memory per s."""
+    p, q = ctx.p, ctx.q
+    c = denom_scale % p
+    form = _trace_forms(ctx)[0]
+    chi = np.exp(2j * cmath.pi * np.arange(p, dtype=np.float64) / p)
+    t_digits = _packed_digits(ctx, 1, np.arange(q))
+    out = np.zeros(q, dtype=np.complex128)
+    for s in range(1, q):
         coeff = ctx.eta(s) if n % 2 else 1
-        args = mul_tab[:, ctx.inv(ctx.mul(c, s))]
-        out += coeff * ctx.chi_table[args]
+        u = ctx.inv(ctx.mul(c, s))
+        out += coeff * chi[t_digits @ (form @ ctx.digits(u)) % p]
     return out
 
 

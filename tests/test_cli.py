@@ -227,6 +227,9 @@ def test_domain_and_io_errors_exit_one(tmp_path, capsys):
         ["search-square", "--p", "3", "--d", "2", "--witness-out",
          unwritable],
         ["analyze", "--set", str(line)],    # d = 1: the checks need d >= 2
+        # below the least size with n^2 >= 16 q^(d+1) nothing is checked
+        ["coverage", "--p", "3", "--ell", "2", "--d", "3", "--size", "200"],
+        ["coverage", "--p", "3", "--d", "1", "--size", "2"],
         ["analyze", "--set", str(flat)],    # d = 0 in the header
         # a command that fails after its targets were opened removes the
         # files it created and leaves an existing one alone

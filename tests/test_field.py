@@ -7,6 +7,7 @@ from fqdist import FqdistError, make_field
 from fqdist.errors import (BadDegreeError, DivisionByZeroError,
                            EvenCharacteristicError, FieldTooLargeError,
                            NonPrimeError)
+from fqdist.geometry import _add_elementwise, _sub_elementwise
 
 FIELDS = [(3, 1), (7, 1), (3, 2), (5, 2), (3, 3)]
 
@@ -170,9 +171,13 @@ def test_trace_is_additive_balanced_and_linear_on_prime_subfield():
 
 
 def test_pair_tables_match_scalar_ops():
-    for p, ell in ((3, 1), (3, 2)):
+    for p, ell in ((3, 1), (3, 2), (5, 2), (3, 3)):
         ctx = make_field(p, ell)
         add, sub, mul = ctx.pair_tables
+        # the digit arithmetic of geometry agrees on all q^2 pairs
+        a, b = np.arange(ctx.q)[:, None], np.arange(ctx.q)[None, :]
+        assert np.array_equal(_add_elementwise(ctx, a, b), add)
+        assert np.array_equal(_sub_elementwise(ctx, a, b), sub)
         for a in range(ctx.q):
             for b in range(ctx.q):
                 assert add[a, b] == ctx.add(a, b)

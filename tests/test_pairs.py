@@ -3,14 +3,20 @@
 import numpy as np
 import pytest
 
+import fqdist.geometry as geometry
 import fqdist.pairs as pairs
-from fqdist import (FieldCtx, PointSet, cone_lift_check, count_pairs,
-                    dft_indicator, kernels_for, make_field, norm,
-                    predict_from_spectrum, space_coords,
-                    spectral_masses_exact, sq_zr_fourier_residual)
+from fqdist import (FieldCtx, PointSet, cone_fourier_formula,
+                    cone_lift_check, count_pairs, dft_indicator,
+                    distance_set, exhaustive_square_distance_max,
+                    greedy_square_distance_search, kernels_for, make_field,
+                    norm, predict_from_spectrum, space_coords,
+                    spectral_masses_exact, sphere0_fourier_formula,
+                    sq_zr_fourier_residual, write_pointset)
+from fqdist.cli import main
 from fqdist.errors import (EmptySetError, EnumerationTooLargeError,
                            TooManyPairsError, UnsupportedDimensionError)
-from fqdist.geometry import unpack_coords
+from fqdist.field import PAIR_TABLE_CAP
+from fqdist.geometry import ENUMERATION_CAP, unpack_coords
 
 # (p, ell, d) -> (sq, zr, nonsq) for A = the whole space, re-derived by an
 # independent brute force before freezing
@@ -71,6 +77,19 @@ def test_spectral_prediction_equals_count(p, ell, d):
         A = random_set(ctx, d, size, seed=size)
         predicted = predict_from_spectrum(A, spectral_masses_exact(A, ker))
         assert predicted == count_pairs(A)
+
+
+def brute_pair_counts(A):
+    """Pair counts from scalar field operations alone."""
+    ctx = A.ctx
+    sq = zr = 0
+    for x in A:
+        for y in A:
+            eta = ctx.eta(norm(ctx, [ctx.sub(a, b) for a, b in zip(x, y)]))
+            sq += eta == 1
+            zr += eta == 0
+    n = len(A)
+    return pairs.PairCounts(sq=sq, zr=zr, nonsq=n * n - sq - zr)
 
 
 def brute_cone_incidences(A):
@@ -136,20 +155,83 @@ def test_cone_lift_matches_pair_table_oracle(p, ell, d, size, seed, table,
     assert incidences == expected
 
 
-def test_extension_kernels_do_not_read_pair_tables(monkeypatch):
+def test_extension_kernels_do_not_read_pair_tables(monkeypatch, tmp_path,
+                                                   capsys):
     ctx = make_field(3, 2)
     A = random_set(ctx, 3, 60, seed=11)
+    B = random_set(ctx, 2, 30, seed=12)
     counts = count_pairs(A)
     want_incidences = pair_table_cone_incidences(A)
-    want_dft = dft_indicator(A)
+
+    def results():
+        """(arrays, other values) of every vector operation on F_9^2
+        and F_9^3."""
+        ker = kernels_for(ctx, 3)
+        arrays = [ker.zero, ker.plus, ker.minus, dft_indicator(A),
+                  sphere0_fourier_formula(ctx, 3),
+                  cone_fourier_formula(ctx, 3)]
+        values = [count_pairs(A), count_pairs(B), distance_set(A),
+                  distance_set(B), ker.origin, spectral_masses_exact(A, ker),
+                  sq_zr_fourier_residual(A, count_pairs(A)),
+                  greedy_square_distance_search(ctx, 2, seed=3, restarts=4),
+                  exhaustive_square_distance_max(ctx, 2)]
+        return arrays, values
+
+    want_arrays, want_values = results()
 
     def refuse(self):
         raise AssertionError("pair tables were read")
 
     monkeypatch.setattr(FieldCtx, "pair_tables", property(refuse))
+    # rebuild the cached norm tables with the tables refused
+    monkeypatch.setattr(geometry, "_NORM_TABLES", {})
+    monkeypatch.setattr(geometry, "_CONE_TABLES", {})
     incidences, expected = cone_lift_check(A, counts)
     assert incidences == want_incidences == expected
-    assert np.array_equal(dft_indicator(A), want_dft)
+    got_arrays, got_values = results()
+    for got, want in zip(got_arrays, want_arrays):
+        assert np.array_equal(got, want)
+    assert got_values == want_values
+    path = tmp_path / "set.txt"
+    write_pointset(B, path)
+    field = ["--p", "3", "--ell", "2"]
+    for argv in (["verify", *field, "--d", "2", "--trials", "3"],
+                 ["analyze", "--set", str(path)],
+                 ["search-square", *field, "--d", "2", "--strategy",
+                  "greedy"],
+                 ["search-square", *field, "--d", "2", "--strategy",
+                  "exhaustive"],
+                 # 324^2 = 16 * 9^4: the least size that meets coverage's
+                 # hypothesis in F_9^3
+                 ["coverage", *field, "--d", "3", "--size", "324",
+                  "--seeds", "0"]):
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("p,ell", [(71, 2), (3, 8)])
+def test_extension_fields_above_the_pair_table_cap(p, ell):
+    ctx = make_field(p, ell)
+    q = ctx.q
+    assert q > PAIR_TABLE_CAP
+    A = random_set(ctx, 1, 40, seed=p + ell)
+    assert count_pairs(A) == brute_pair_counts(A)
+    assert distance_set(A) == {ctx.mul(ctx.sub(x, y), ctx.sub(x, y))
+                               for (x,) in A for (y,) in A}
+    # kernels at d = 1 against the character sums of their definition
+    ker = kernels_for(ctx, 1)
+    classes = [ctx.eta(ctx.mul(m, m)) for m in range(q)]
+    assert ker.origin == tuple(classes.count(sign) for sign in (0, 1, -1))
+    for v in (1, p, q - 1, 1 + p**(ell - 1)):
+        sums = {0: 0, 1: 0, -1: 0}
+        for m, sign in enumerate(classes):
+            sums[sign] += ctx.chi_table[ctx.mul(m, v)]
+        t = ctx.mul(v, v)
+        for sign, table in zip((0, 1, -1), (ker.zero, ker.plus, ker.minus)):
+            assert abs(table[t] - sums[sign]) < 1e-6
+    non_squares = ctx.eta_table < 1
+    for table in (ker.zero, ker.plus, ker.minus):
+        assert not table[non_squares].any()
 
 
 def test_cone_lift_digit_path_cap():
@@ -204,10 +286,13 @@ def test_pair_budget_guard():
 
 
 def test_extension_field_enumeration_cap():
+    # 9^8 has no packed norm table: the squares of each difference's
+    # coordinates are summed one coordinate at a time
     ctx = make_field(3, 2)
-    A = PointSet(ctx, 8, [(0,) * 8, (1,) + (0,) * 7])
-    with pytest.raises(EnumerationTooLargeError):
-        count_pairs(A)  # 9^8 has no packed norm table and ell > 1
+    assert ctx.q**8 > ENUMERATION_CAP
+    coords = np.random.default_rng(8).integers(0, ctx.q, size=(10, 8))
+    A = PointSet(ctx, 8, [(0,) * 8, (1,) + (0,) * 7, *map(tuple, coords)])
+    assert count_pairs(A) == brute_pair_counts(A)
 
 
 def test_direct_identity_cap():

@@ -12,7 +12,7 @@ from fqdist import (PointSet, cone_fourier_formula, dft_indicator,
                     zero_mass_bounds_check)
 from fqdist.errors import EnumerationTooLargeError, WrongParityError
 from fqdist.geometry import norm_table, pack_weights, unpack_coords
-from fqdist.spectral import _dot_chunks, _scaling_class_reps, _trace_form
+from fqdist.spectral import _scaling_class_reps, _trace_forms
 
 CELLS = [(3, 1, 2), (5, 1, 2), (3, 2, 2), (3, 1, 3)]
 
@@ -22,15 +22,39 @@ def random_set(ctx, d, size, seed):
     return PointSet(ctx, d, map(tuple, unpack_coords(ctx.q, d, picks)))
 
 
+def dot_chunks(ctx, rows, cols):
+    """Yield (start, dots) where dots[i, j] is the field dot product of
+    rows[start + i] with cols[j], as packed element indices: modular
+    matmuls for ell = 1, q x q pair-table gathers for ell > 1.  This was
+    the kernel build's dot product before it moved to F_p digits."""
+    nrows, ncols = rows.shape[0], cols.shape[0]
+    chunk = max(1, (1 << 22) // max(ncols, 1))
+    if ctx.ell == 1:
+        colsT = cols.T
+        for s in range(0, nrows, chunk):
+            block = rows[s:s + chunk]
+            yield s, (block @ colsT) % ctx.p
+    else:
+        add_tab, _, mul_tab = ctx.pair_tables
+        d = rows.shape[1]
+        for s in range(0, nrows, chunk):
+            block = rows[s:s + chunk]
+            acc = mul_tab[block[:, 0][:, None], cols[:, 0][None, :]]
+            for i in range(1, d):
+                term = mul_tab[block[:, i][:, None], cols[:, i][None, :]]
+                acc = add_tab[acc, term]
+            yield s, acc
+
+
 def dot_chunks_dft(A):
     """dft_indicator before the trace form: packed field dot products
-    of every frequency with every point from _dot_chunks (q x q
+    of every frequency with every point from dot_chunks (q x q
     pair-table gathers for ell > 1), read through conj(chi)."""
     ctx, d = A.ctx, A.d
     volume = ctx.q**d
     conj_chi = np.conj(ctx.chi_table)
     out = np.empty(volume, dtype=np.complex128)
-    for start, dots in _dot_chunks(ctx, space_coords(ctx, d), A.coords):
+    for start, dots in dot_chunks(ctx, space_coords(ctx, d), A.coords):
         out[start:start + dots.shape[0]] = conj_chi[dots].sum(axis=1)
     return out / volume
 
@@ -67,15 +91,15 @@ def dense_kernels(ctx, d):
     products per representative: O(q^(2d-1)) time and O(q^d) memory."""
     q = ctx.q
     volume = q**d
-    reps = _scaling_class_reps(ctx, d)
-    ntab = norm_table(ctx, d)
-    rep_eta = ctx.eta_table[ntab[reps @ pack_weights(q, d)]]
+    packed_reps = _scaling_class_reps(ctx, d)
+    reps = unpack_coords(q, d, packed_reps)
+    rep_eta = ctx.eta_table[norm_table(ctx, d)[packed_reps]]
     cols = space_coords(ctx, d)
     # the origin frequency has zero norm and contributes chi(0) = 1 at every v
     out = {0: np.ones(volume, dtype=np.int64),
            1: np.zeros(volume, dtype=np.int64),
            -1: np.zeros(volume, dtype=np.int64)}
-    for start, dots in _dot_chunks(ctx, reps, cols):
+    for start, dots in dot_chunks(ctx, reps, cols):
         hit = dots == 0
         etas = rep_eta[start:start + dots.shape[0]]
         for sign, target in out.items():
@@ -109,7 +133,7 @@ def test_kernels_match_direct_character_sums(p, ell, d):
 @pytest.mark.parametrize("p,ell,d", [(3, 1, 1), (3, 1, 2), (5, 1, 2),
                                      (3, 2, 2), (3, 1, 3), (7, 1, 3),
                                      (3, 2, 3), (5, 1, 4), (3, 1, 5),
-                                     (13, 1, 3)])
+                                     (13, 1, 3), (5, 2, 2), (3, 3, 2)])
 def test_norm_indexed_kernels_equal_dense_oracle(p, ell, d):
     ctx = make_field(p, ell)
     ker = kernels_for(ctx, d)
@@ -182,12 +206,17 @@ def test_dft_matches_dot_chunks_oracle(p, ell, d, size, seed):
                                    (7, 2)])
 def test_trace_form_is_the_trace_of_products(p, ell):
     ctx = make_field(p, ell)
-    T = _trace_form(ctx)
-    assert np.array_equal(T, T.T)
+    forms = _trace_forms(ctx)
+    assert forms.shape == (ell, ell, ell)
     rng = np.random.default_rng(p * ell)
-    for a, b in rng.integers(0, ctx.q, size=(40, 2)):
-        da, db = np.array(ctx.digits(int(a))), np.array(ctx.digits(int(b)))
-        assert (da @ T @ db) % p == ctx.trace(ctx.mul(int(a), int(b)))
+    for k, T in enumerate(forms):
+        assert np.array_equal(T, T.T)
+        xk = p**k  # packed index of X^k
+        for a, b in rng.integers(0, ctx.q, size=(40, 2)):
+            da = np.array(ctx.digits(int(a)))
+            db = np.array(ctx.digits(int(b)))
+            want = ctx.trace(ctx.mul(xk, ctx.mul(int(a), int(b))))
+            assert (da @ T @ db) % p == want
 
 
 def test_full_space_concentrates_all_mass_at_the_origin():
@@ -210,7 +239,8 @@ def test_singleton_spreads_mass_by_norm_class_counts():
 
 
 @pytest.mark.parametrize("p,ell,n", [(3, 1, 2), (3, 1, 3), (5, 1, 2),
-                                     (7, 1, 2), (3, 2, 2)])
+                                     (7, 1, 2), (3, 2, 2), (5, 2, 2),
+                                     (3, 3, 2)])
 def test_cone_transform_closed_form(p, ell, n):
     ctx = make_field(p, ell)
     cone = enumerate_cone(ctx, n)
@@ -220,7 +250,8 @@ def test_cone_transform_closed_form(p, ell, n):
 
 
 @pytest.mark.parametrize("p,ell,d", [(3, 1, 2), (3, 1, 3), (5, 1, 2),
-                                     (3, 2, 2), (5, 1, 3)])
+                                     (3, 2, 2), (5, 1, 3), (5, 2, 2),
+                                     (3, 3, 2)])
 def test_sphere_transform_closed_form(p, ell, d):
     ctx = make_field(p, ell)
     sphere = enumerate_sphere_zero(ctx, d)
