@@ -20,7 +20,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -240,6 +239,9 @@ def cmd_verify(args) -> int:
                for row in unpack_coords(q, d, picks)]
         tasks.append((args.p, args.ell, d, i, pts))
     if args.jobs > 1:
+        # imported here, not at module level, so that every other CLI start
+        # skips the ~15 ms import of concurrent.futures and multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             outcomes = list(pool.map(_check_one_set, tasks,
                                      chunksize=max(1, len(tasks) // (4 * args.jobs))))

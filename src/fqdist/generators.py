@@ -264,7 +264,6 @@ def exhaustive_square_distance_max(ctx, d: int,
     best_pts: list = []
     nodes = 0
     exhausted = False
-    sys.setrecursionlimit(max(1000, cap + 100))
 
     def extend(current: list, cands: np.ndarray):
         nonlocal best_pts, nodes, exhausted
@@ -287,7 +286,14 @@ def exhaustive_square_distance_max(ctx, d: int,
             if exhausted or len(best_pts) >= cap:
                 return
 
-    extend([], np.arange(volume, dtype=np.int64))
+    # the DFS recurses once per point, up to cap deep; raise the limit for
+    # the search only, and never lower one the caller set
+    old_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(old_limit, cap + 100))
+    try:
+        extend([], np.arange(volume, dtype=np.int64))
+    finally:
+        sys.setrecursionlimit(old_limit)
     pts = sorted(tuple(coords[i]) for i in best_pts)
     return SearchResult(size=len(pts), witness=PointSet(ctx, d, pts),
                         exact=not exhausted, nodes=nodes)

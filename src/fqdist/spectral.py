@@ -35,12 +35,19 @@ from .geometry import (PointSet, _packed_digits, _sub_elementwise,
                        cone_norm_table, norm_table, pack_weights)
 
 DFT_CAP = 10**6
+PERIODIC_CAP = 1 << 16
 
 
 def _check_transform_size(q: int, d: int):
     if q**d > DFT_CAP:
         raise EnumerationTooLargeError(
             f"transform space q^d = {q**d} exceeds cap {DFT_CAP}")
+
+
+def _dot_bound(ctx, d: int) -> int:
+    """One more than the largest integer dot product of two vectors of
+    d * ell F_p digits in [0, p): d * ell * (p - 1)^2 + 1."""
+    return d * ctx.ell * (ctx.p - 1)**2 + 1
 
 
 def _trace_forms(ctx) -> np.ndarray:
@@ -54,6 +61,25 @@ def _trace_forms(ctx) -> np.ndarray:
                       for a in basis] for xk in basis], dtype=np.int64)
 
 
+def _mod_p_reader(table: np.ndarray, bound: int):
+    """A function taking an integer array `dots` with entries in
+    [0, bound) to table[dots % p], where p = len(table).
+
+    When bound <= PERIODIC_CAP it gathers from table tiled to length
+    bound, so unreduced dot products are read with no `% p`.  Above that
+    it reduces `dots` in place, overwriting its argument, and gathers
+    from table itself.
+    """
+    if bound <= PERIODIC_CAP:
+        return np.resize(table, bound).__getitem__
+    p = len(table)
+
+    def read(dots):
+        dots %= p
+        return table[dots]
+    return read
+
+
 def dft_indicator(A: PointSet) -> np.ndarray:
     """All Fourier coefficients of the indicator of A.
 
@@ -63,8 +89,9 @@ def dft_indicator(A: PointSet) -> np.ndarray:
     The trace is F_p-bilinear, so with T the trace form (`_trace_forms`)
     Tr(m . x) = digits(m) . (I_d (x) T) . digits(x) mod p on the F_p
     digits of the packed indices: one integer matmul per block of
-    frequencies, and chi read from a table of length p.  At ell = 1, T
-    is [[1]] and the digits are the coordinates.
+    frequencies, left unreduced, and conj(chi) read through
+    `_mod_p_reader` over its bound d * ell * (p - 1)^2 + 1.  At
+    ell = 1, T is [[1]] and the digits are the coordinates.
     """
     ctx, d, p = A.ctx, A.d, A.ctx.p
     _check_transform_size(ctx.q, d)
@@ -73,14 +100,15 @@ def dft_indicator(A: PointSet) -> np.ndarray:
     pts = (_packed_digits(ctx, d, A.packed()) @ form % p).T
     conj_chi = np.conj(np.exp(2j * cmath.pi
                               * np.arange(p, dtype=np.float64) / p))
+    read_chi = _mod_p_reader(conj_chi, _dot_bound(ctx, d))
     freqs = _packed_digits(ctx, d, np.arange(volume))
     out = np.empty(volume, dtype=np.complex128)
-    # at most 2^21 terms per block: the block's integer and complex
-    # temporaries stay small, and smaller blocks run faster
-    chunk = max(1, (1 << 21) // max(len(A), 1))
+    # at most 2^18 terms per block: the block's integer and complex
+    # temporaries stay in cache
+    chunk = max(1, (1 << 18) // max(len(A), 1))
     for start in range(0, volume, chunk):
-        dots = freqs[start:start + chunk] @ pts % p
-        out[start:start + chunk] = conj_chi[dots].sum(axis=1)
+        out[start:start + chunk] = read_chi(
+            freqs[start:start + chunk] @ pts).sum(axis=1)
     out /= volume
     return out
 
@@ -128,7 +156,8 @@ def kernels_for(ctx: FieldCtx, d: int) -> KernelTable:
     Takes one nonzero vector per norm value and sums characters against
     it, one scaling class of frequencies at a time: O(q^d) time and O(q)
     memory.  Uses only field arithmetic, never pair counts.  rep . v = 0
-    is tested on F_p digits as Tr(X^k * rep . v) = 0 for every k < ell.
+    is tested on F_p digits as Tr(X^k * rep . v) = 0 for every k < ell,
+    reading the unreduced integer dots through `_mod_p_reader`.
     """
     _check_transform_size(ctx.q, d)
     q, p, ell = ctx.q, ctx.p, ctx.ell
@@ -146,12 +175,13 @@ def kernels_for(ctx: FieldCtx, d: int) -> KernelTable:
     # column k * len(norms) + j: Tr(X^k * m . v_j) as a form in m's digits
     forms = np.concatenate([np.kron(eye, t) @ vec_digits % p
                             for t in _trace_forms(ctx)], axis=1)
+    read_zero = _mod_p_reader(np.arange(p) == 0, _dot_bound(ctx, d))
     signs = (0, 1, -1)
     hits = {sign: np.zeros(len(norms), dtype=np.int64) for sign in signs}
     chunk = max(1, (1 << 22) // forms.shape[1])
     for start in range(0, len(rep_digits), chunk):
-        dots = rep_digits[start:start + chunk] @ forms % p
-        zero = (dots == 0).reshape(len(dots), ell, len(norms)).all(axis=1)
+        zero = read_zero(rep_digits[start:start + chunk] @ forms)
+        zero = zero.reshape(len(zero), ell, len(norms)).all(axis=1)
         etas = rep_eta[start:start + chunk]
         for sign in signs:
             hits[sign] += zero[etas == sign].sum(axis=0)

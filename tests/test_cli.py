@@ -2,6 +2,9 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -116,6 +119,19 @@ def test_verify_parallel_matches_sequential(tmp_path, capsys):
     seq["config"].pop("jobs")
     par["config"].pop("jobs")
     assert seq == par
+
+
+def test_cli_import_leaves_out_the_process_pool():
+    # only --jobs > 1 needs a process pool; a fresh interpreter shows
+    # whether importing the CLI pulled its modules in
+    code = ("import sys, fqdist.cli; "
+            "print(sorted({'concurrent.futures', 'multiprocessing'}"
+            " & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 def test_analyze_command(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Point-set factories and square-distance-set searches."""
 
 import math
+import sys
 
 import pytest
 
@@ -143,6 +144,17 @@ def test_exhaustive_maxima_small_spaces():
     r = exhaustive_square_distance_max(make_field(3), 3)
     assert (r.size, r.exact) == (4, True)
     assert len(r.witness) == 4
+
+
+def test_exhaustive_search_restores_the_recursion_limit():
+    before = sys.getrecursionlimit()
+    try:
+        sys.setrecursionlimit(5000)
+        r = exhaustive_square_distance_max(make_field(3), 3)
+        assert sys.getrecursionlimit() == 5000
+    finally:
+        sys.setrecursionlimit(before)
+    assert (r.size, r.exact) == (4, True)
 
 
 def test_exhaustive_budget_runs_out_gracefully():

@@ -1,5 +1,6 @@
 """Spectral side: DFT, exact integer kernels, masses, closed-form transforms."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,8 +12,10 @@ from fqdist import (PointSet, cone_fourier_formula, dft_indicator,
                     sphere0_fourier_formula, verify_counting_lemma,
                     zero_mass_bounds_check)
 from fqdist.errors import EnumerationTooLargeError, WrongParityError
-from fqdist.geometry import norm_table, pack_weights, unpack_coords
-from fqdist.spectral import _scaling_class_reps, _trace_forms
+from fqdist.geometry import (_packed_digits, norm_table, pack_weights,
+                             unpack_coords)
+from fqdist.spectral import (PERIODIC_CAP, _dot_bound, _mod_p_reader,
+                             _scaling_class_reps, _trace_forms)
 
 CELLS = [(3, 1, 2), (5, 1, 2), (3, 2, 2), (3, 1, 3)]
 
@@ -57,6 +60,28 @@ def dot_chunks_dft(A):
     for start, dots in dot_chunks(ctx, space_coords(ctx, d), A.coords):
         out[start:start + dots.shape[0]] = conj_chi[dots].sum(axis=1)
     return out / volume
+
+
+def reduced_dft(A):
+    """dft_indicator before the periodic table: each block of at most
+    2^21 terms reduced with `% p` and read through conj(chi) of length p.
+    Returns the transform and the largest unreduced dot product seen."""
+    ctx, d, p = A.ctx, A.d, A.ctx.p
+    volume = ctx.q**d
+    form = np.kron(np.eye(d, dtype=np.int64), _trace_forms(ctx)[0])
+    pts = (_packed_digits(ctx, d, A.packed()) @ form % p).T
+    conj_chi = np.conj(np.exp(2j * np.pi * np.arange(p, dtype=np.float64)
+                              / p))
+    freqs = _packed_digits(ctx, d, np.arange(volume))
+    out = np.empty(volume, dtype=np.complex128)
+    top = 0
+    chunk = max(1, (1 << 21) // max(len(A), 1))
+    for start in range(0, volume, chunk):
+        dots = freqs[start:start + chunk] @ pts
+        top = max(top, int(dots.max(initial=0)))
+        out[start:start + chunk] = conj_chi[dots % p].sum(axis=1)
+    out /= volume
+    return out, top
 
 
 def masses_numeric(A):
@@ -133,7 +158,8 @@ def test_kernels_match_direct_character_sums(p, ell, d):
 @pytest.mark.parametrize("p,ell,d", [(3, 1, 1), (3, 1, 2), (5, 1, 2),
                                      (3, 2, 2), (3, 1, 3), (7, 1, 3),
                                      (3, 2, 3), (5, 1, 4), (3, 1, 5),
-                                     (13, 1, 3), (5, 2, 2), (3, 3, 2)])
+                                     (13, 1, 3), (5, 2, 2), (3, 3, 2),
+                                     (257, 1, 2)])
 def test_norm_indexed_kernels_equal_dense_oracle(p, ell, d):
     ctx = make_field(p, ell)
     ker = kernels_for(ctx, d)
@@ -182,12 +208,15 @@ def test_exact_masses_match_numeric_dft(p, ell, d):
             assert abs(float(got) - want) < 1e-9
 
 
-# random sets over extension fields, one point, the full space F_9^2,
-# and an ell = 1 cell: (p, ell, d, size, seed)
+# random sets over extension fields and prime fields, sets spanning many
+# 2^18-term blocks, one point, the empty set, the full space F_9^2, and
+# p = 257 at d = 2, whose dot bound 2 * 256^2 + 1 is past PERIODIC_CAP:
+# (p, ell, d, size, seed)
 DFT_ORACLE_CASES = [
     (3, 2, 2, 20, 1), (3, 2, 3, 150, 2), (5, 2, 2, 200, 3),
     (3, 3, 2, 300, 4), (3, 2, 3, 1, 5), (3, 2, 2, 81, 6),
-    (7, 1, 3, 120, 7),
+    (7, 1, 3, 120, 7), (31, 1, 3, 200, 8), (5, 2, 3, 400, 9),
+    (13, 1, 3, 0, 10), (257, 1, 2, 40, 11),
 ]
 
 
@@ -196,10 +225,39 @@ def test_dft_matches_dot_chunks_oracle(p, ell, d, size, seed):
     ctx = make_field(p, ell)
     A = random_set(ctx, d, size, seed)
     got, want = dft_indicator(A), dot_chunks_dft(A)
-    assert np.abs(got - want).max() < 1e-12
+    assert np.abs(got - want).max(initial=0) < 1e-12
     if ell == 1:
         # the same integer dot products, summed in the same order
         assert np.array_equal(got, want)
+    # the same unreduced dots as reduced_dft, read from an equal table
+    reduced, top = reduced_dft(A)
+    assert top < _dot_bound(ctx, d)
+    assert np.array_equal(got, reduced)
+
+
+def test_dft_reads_large_primes_without_a_periodic_table():
+    # d * (p - 1)^2 + 1 is about 10^10 here; a periodic table of that
+    # length would need 160 GB
+    ctx = make_field(99991)
+    A = random_set(ctx, 1, 5, seed=13)
+    tracemalloc.start()
+    try:
+        got = dft_indicator(A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert np.array_equal(got, reduced_dft(A)[0])
+
+
+@pytest.mark.parametrize("p,bound", [(3, 1), (7, 5), (43, 5293),
+                                     (255, PERIODIC_CAP),
+                                     (257, PERIODIC_CAP + 1)])
+def test_mod_p_reader_reads_the_residue(p, bound):
+    table = np.arange(p) * 10 + 1
+    read = _mod_p_reader(table, bound)
+    dots = np.arange(bound, dtype=np.int64)
+    assert np.array_equal(read(dots.copy()), table[dots % p])
 
 
 @pytest.mark.parametrize("p,ell", [(3, 1), (7, 1), (3, 2), (5, 2), (3, 3),
