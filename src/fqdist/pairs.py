@@ -96,7 +96,8 @@ def _prefix_norms(ctx, d, squares):
 
 def _cone_incidences_on_digits(A: PointSet) -> int:
     """Ordered pairs of E = A x F_q whose difference lies on the zero
-    cone of ||.||_C, from differences of F_p digits (any ell)."""
+    cone of ||.||_C, from differences of F_p digits, in row blocks of at
+    most 2^18 lifted differences."""
     ctx, d, q, p = A.ctx, A.d, A.ctx.q, A.ctx.p
     if q**d > ENUMERATION_CAP:
         raise EnumerationTooLargeError(
@@ -121,7 +122,7 @@ def _cone_incidences_on_digits(A: PointSet) -> int:
         cone = (prefix[:, None] == squares[None, :]).reshape(-1)
         weights = _digit_weights(ctx, d + 1).astype(np.int32)
     incidences = 0
-    chunk = max(1, (1 << 21) // n_lift)
+    chunk = max(1, (1 << 18) // n_lift)
     for s in range(0, n_lift, chunk):
         diffs = lifted[s:s + chunk, None, :] - lifted[None, :, :]
         diffs %= p
@@ -140,36 +141,24 @@ def cone_lift_check(A: PointSet, counts: PairCounts):
     `count_pairs(A)`, computed once by the caller.
 
     Returns (incidences, predicted).  The left side is a genuine
-    enumeration over E x E, in row blocks of at most 2^21 lifted
-    differences.  For ell = 1 it classifies each difference with modular
-    arithmetic on coordinates.  For ell > 1 it takes differences of F_p
-    digits mod p and packs them with integer matmuls.  A difference is on
-    the cone when the norm of its first d coordinates, from a table built
-    from the squares ctx.mul(a, a) with digit-wise sums mod p, equals the
-    square of its last one; when q^(d+1) is within the enumeration cap,
-    both are folded into one boolean table over packed F_q^(d+1).
-    Nothing is shared with `count_pairs` beyond the field tables; in
-    particular no norm table is read.
+    enumeration over E x E, the same for every ell: differences of F_p
+    digits mod p, packed with integer matmuls, in row blocks of at most
+    2^18 lifted differences.  A difference is on the cone when the norm
+    of its first d coordinates, from a table built from the squares
+    ctx.mul(a, a) with digit-wise sums mod p, equals the square of its
+    last one; when q^(d+1) is within the enumeration cap, both are folded
+    into one boolean table over packed F_q^(d+1).  It needs q^d within
+    that cap.  Nothing is shared with `count_pairs` beyond the field
+    tables; in particular no norm table is read.
     """
     if len(A) == 0:
         raise EmptySetError("cone lift needs a nonempty set")
-    ctx, d, q = A.ctx, A.d, A.ctx.q
+    q = A.ctx.q
     n_lift = len(A) * q
     if n_lift * n_lift > PAIR_CAP:
         raise TooManyPairsError(
             f"lifted set has {n_lift}^2 ordered pairs, over cap {PAIR_CAP}")
-    if ctx.ell == 1:
-        lifted = np.empty((n_lift, d + 1), dtype=np.int64)
-        lifted[:, :d] = np.repeat(A.coords, q, axis=0)
-        lifted[:, d] = np.tile(np.arange(q, dtype=np.int64), len(A))
-        incidences = 0
-        chunk = max(1, (1 << 21) // n_lift)
-        for s in range(0, n_lift, chunk):
-            diffs = (lifted[s:s + chunk, None, :] - lifted[None, :, :]) % ctx.p
-            cn = (diffs[:, :, :d]**2).sum(axis=2) - diffs[:, :, d]**2
-            incidences += int((cn % ctx.p == 0).sum())
-    else:
-        incidences = _cone_incidences_on_digits(A)
+    incidences = _cone_incidences_on_digits(A)
     predicted = q * (2 * counts.sq + counts.zr)
     return incidences, predicted
 

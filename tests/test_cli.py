@@ -8,11 +8,13 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 
 import fqdist.cli as cli
 import fqdist.pairs as pairs
 import fqdist.spectral as spectral
-from fqdist import GenSpec, generate, make_field, write_pointset
+from fqdist import (GenSpec, PointSet, generate, make_field,
+                    write_pointset)
 from fqdist.cli import main
 
 SCHEMA = json.loads(
@@ -268,6 +270,29 @@ def test_domain_and_io_errors_exit_one(tmp_path, capsys):
             assert "--node-budget" in lines[0], lines[0]
     assert not list(tmp_path.glob("new-*"))
     assert kept.exists()
+
+
+def test_analyze_refuses_a_cone_lift_over_the_cap(tmp_path, capsys,
+                                                  monkeypatch):
+    # q^d = 251^3 > 10^7 prefix norms: the cone lift refuses before it
+    # enumerates its (20 * 251)^2 lifted pairs, so the bounds never run
+    coords = np.random.default_rng(0).choice(251, size=(20, 3))
+    A = PointSet(make_field(251), 3, map(tuple, coords))
+    assert len(A) == 20
+    path = tmp_path / "set.txt"
+    write_pointset(A, path)
+
+    def unreached(*args):
+        raise AssertionError("the cone lift did not refuse the set")
+
+    monkeypatch.setattr(cli, "check_all", unreached)
+    assert main(["analyze", "--set", str(path)]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == ""
+    assert len(lines) == 1 and lines[0].startswith("fqdist: error:"), \
+        captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_violations_exit_two(capsys, monkeypatch):

@@ -1,7 +1,11 @@
 """Pair statistics: brute-force counting vs the exact spectral prediction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fqdist.geometry as geometry
 import fqdist.pairs as pairs
@@ -128,13 +132,37 @@ def pair_table_cone_incidences(A):
     return incidences
 
 
-# random sets over extension fields, one point, the full space F_9^2,
-# and an ell = 1 cell: (p, ell, d, size, seed)
+def coordinate_cone_incidences(A):
+    """The cone lift's incidences at ell = 1 from int64 coordinates:
+    each lifted difference mod p, the sum of squares of its first d
+    coordinates minus the square of its last one, tested mod p, in row
+    blocks of at most 2^21 lifted differences.  This was the ell = 1
+    branch of cone_lift_check before every ell went through F_p
+    digits."""
+    ctx, d, q = A.ctx, A.d, A.ctx.q
+    assert ctx.ell == 1
+    n_lift = len(A) * q
+    lifted = np.empty((n_lift, d + 1), dtype=np.int64)
+    lifted[:, :d] = np.repeat(A.coords, q, axis=0)
+    lifted[:, d] = np.tile(np.arange(q, dtype=np.int64), len(A))
+    incidences = 0
+    chunk = max(1, (1 << 21) // n_lift)
+    for s in range(0, n_lift, chunk):
+        diffs = (lifted[s:s + chunk, None, :] - lifted[None, :, :]) % ctx.p
+        cn = (diffs[:, :, :d]**2).sum(axis=2) - diffs[:, :, d]**2
+        incidences += int((cn % ctx.p == 0).sum())
+    return incidences
+
+
+# random sets over extension fields and prime fields, one point, the full
+# spaces F_9^2, F_5^2 and F_3^3: (p, ell, d, size, seed)
 CONE_ORACLE_CASES = [
     (3, 2, 2, 20, 1), (3, 2, 2, 57, 2), (3, 2, 3, 30, 3),
     (3, 2, 3, 110, 4), (5, 2, 2, 40, 5), (3, 3, 2, 30, 6),
     (3, 2, 3, 1, 7), (3, 2, 2, 81, 8), (7, 1, 3, 40, 9),
     (3, 6, 2, 2, 10),   # q^(d+1) = 729^3: over the cap, past int32
+    (5, 1, 2, 25, 11), (3, 1, 3, 27, 12), (11, 1, 2, 30, 13),
+    (13, 1, 3, 1, 14),
 ]
 
 
@@ -153,6 +181,60 @@ def test_cone_lift_matches_pair_table_oracle(p, ell, d, size, seed, table,
     incidences, expected = cone_lift_check(A, counts)
     assert incidences == pair_table_cone_incidences(A)
     assert incidences == expected
+
+
+# ell = 1 cells: the full F_3^2, one point, 7 blocks of 2^18 lifted
+# differences, the 43^4-entry cone table, and the split path (q^4 > 10^7)
+PRIME_CONE_CASES = [(3, 2, 9, 0), (5, 2, 1, 1), (7, 3, 180, 2),
+                    (43, 3, 16, 3), (101, 3, 6, 4)]
+
+
+@pytest.mark.parametrize("p,d,size,seed", PRIME_CONE_CASES)
+def test_cone_lift_matches_coordinate_oracle(p, d, size, seed):
+    ctx = make_field(p)
+    A = random_set(ctx, d, size, seed)
+    assert len(A) == size
+    counts = count_pairs(A)
+    incidences, expected = cone_lift_check(A, counts)
+    assert incidences == coordinate_cone_incidences(A)
+    assert incidences == expected == p * (2 * counts.sq + counts.zr)
+
+
+def test_cone_lift_memory_is_bounded_by_its_blocks():
+    # 1620 lifted points of 8 digits each: one 2^21-difference block of
+    # int32 digits alone would hold 64 MB
+    ctx = make_field(3, 2)
+    A = random_set(ctx, 3, 180, seed=5)
+    counts = count_pairs(A)
+    cone_lift_check(A, counts)       # field tables built outside the trace
+    tracemalloc.start()
+    try:
+        incidences, expected = cone_lift_check(A, counts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert incidences == expected
+    assert peak < 24 * 2**20, peak
+
+
+@st.composite
+def small_cells(draw):
+    p = draw(st.sampled_from([3, 5, 7]))
+    ell = draw(st.integers(1, 2))
+    d = draw(st.integers(2, 3))
+    ctx = make_field(p, ell)
+    picks = draw(st.lists(st.integers(0, ctx.q**d - 1), min_size=1,
+                          max_size=6, unique=True))
+    return PointSet(ctx, d, map(tuple, unpack_coords(ctx.q, d, picks)))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(small_cells())
+def test_cone_lift_matches_brute_force(A):
+    counts = count_pairs(A)
+    incidences, expected = cone_lift_check(A, counts)
+    assert incidences == brute_cone_incidences(A) == expected
+    assert expected == A.ctx.q * (2 * counts.sq + counts.zr)
 
 
 def test_extension_kernels_do_not_read_pair_tables(monkeypatch, tmp_path,
@@ -235,11 +317,14 @@ def test_extension_fields_above_the_pair_table_cap(p, ell):
 
 
 def test_cone_lift_digit_path_cap():
-    ctx = make_field(3, 2)
-    A = PointSet(ctx, 8, [(0,) * 8, (1,) + (0,) * 7])
+    # 9^8 and 251^3 prefix norms are over the cap, at ell = 2 and ell = 1
     counts = pairs.PairCounts(sq=2, zr=2, nonsq=0)
-    with pytest.raises(EnumerationTooLargeError):
-        cone_lift_check(A, counts)  # 9^8 prefix norms are over the cap
+    for p, ell, d in ((3, 2, 8), (251, 1, 3)):
+        ctx = make_field(p, ell)
+        assert ctx.q**d > ENUMERATION_CAP
+        A = PointSet(ctx, d, [(0,) * d, (1,) + (0,) * (d - 1)])
+        with pytest.raises(EnumerationTooLargeError):
+            cone_lift_check(A, counts)
 
 
 def test_cone_lift_identity_and_brute_force():
