@@ -82,7 +82,7 @@ def bound_sq_odd_dim(d: int, q: int, size: int):
 
     branch is "large" / "small" for the threshold clause (or "both" at an
     exact threshold hit, where the minimum of the two applies) and
-    "min1" / "min2" / "min3" for the three-way minimum clause.
+    "min2" / "min3" for the minimum clause.
     """
     if d % 2 == 0 or d < 3:
         raise WrongParityError(f"odd-dimension bound needs odd d >= 3, got d={d}")
@@ -102,11 +102,11 @@ def bound_sq_odd_dim(d: int, q: int, size: int):
         if n < threshold:
             return small, "small"
         return min(large, small), "both"
-    options = (Fraction(q_hi * n, 2),
-               Fraction(q_lo * n, 2) + nn / 2,
-               Fraction(n, 2) + Fraction(q_hi * n, 2) - nn / (2 * q))
-    best = min(options)
-    branch = f"min{options.index(best) + 1}"
+    # the clause's first option, q_hi * n / 2, is never the least for
+    # odd d >= 3 (tests/test_bounds.py), so the labels start at min2
+    best, branch = min(
+        (Fraction(q_lo * n, 2) + nn / 2, "min2"),
+        (Fraction(n, 2) + Fraction(q_hi * n, 2) - nn / (2 * q), "min3"))
     return nn / 2 - Fraction(q_lo * n, 2) - Fraction(n, 2) + best, branch
 
 

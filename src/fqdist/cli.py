@@ -199,7 +199,9 @@ def _check_one_set(task) -> dict:
 
 def _run_formula_checks(ctx, d: int, tasks, tally: "_Tally", cell: dict):
     """Once-per-cell checks of the closed-form transforms and the
-    counting identity; follows the same tolerances as the sweep."""
+    counting identity; follows the same tolerances as the sweep.
+    sphere_transform holds the closed-form zero kernel K_0 of
+    `kernels_for` to the DFT of the zero sphere at every frequency."""
     q = ctx.q
     if q**(d + 1) <= MASTER_CAP:
         cone = enumerate_cone(ctx, d + 1)

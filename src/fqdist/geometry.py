@@ -24,10 +24,9 @@ from .errors import (
 
 ENUMERATION_CAP = 10 ** 7
 
-# per-(p, ell, d) caches of packed-index tables; contexts are canonical
-# via make_field, so the key cannot collide
+# per-(p, ell, d) cache of norm tables; contexts are canonical via
+# make_field, so the key cannot collide
 _NORM_TABLES = {}
-_CONE_TABLES = {}
 
 
 def pack_weights(q, d):
@@ -172,16 +171,10 @@ def cone_norm_table(ctx, n):
     """Array over packed indices x of the element index of ||x||_C."""
     if n < 2:
         raise DimensionTooSmallError("cone form needs at least 2 coordinates")
-    key = (ctx.p, ctx.ell, n)
-    tab = _CONE_TABLES.get(key)
-    if tab is None:
-        _check_cap(ctx.q, n)
-        sq = _square_values(ctx)
-        prefix = norm_table(ctx, n - 1)
-        tab = _sub_elementwise(ctx, prefix[:, None], sq[None, :]).reshape(-1)
-        tab.setflags(write=False)
-        _CONE_TABLES[key] = tab
-    return tab
+    _check_cap(ctx.q, n)
+    prefix = norm_table(ctx, n - 1)
+    return _sub_elementwise(ctx, prefix[:, None],
+                            _square_values(ctx)[None, :]).reshape(-1)
 
 
 def _add_elementwise(ctx, a, b):

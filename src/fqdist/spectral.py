@@ -4,17 +4,19 @@ Everything downstream rests on splitting the frequency space F_q^d into
 three pieces by the quadratic class of the norm: zero, square, non-square.
 The mass of an indicator's spectrum on each piece is a nonnegative
 rational with denominator q^(2d), and it can be computed exactly with
-integer arithmetic: the character sum of each piece against a fixed
-vector v collapses, one scaling class at a time, to (q - 1) or -1.
+integer arithmetic from the character sum of each piece against a fixed
+vector v.
 
-For v != 0 that character sum depends only on ||v||: the orthogonal group
-acts transitively on nonzero vectors of equal norm (Witt) and preserves
-each norm class.  So the kernels are three tables of q integers indexed
-by the norm, plus their values at the origin, and the closed-form sphere
-and cone transforms are functions of the norm too.
+For v != 0 that character sum depends only on b = ||v||, and completing
+the square evaluates it in closed form: with G_1^2 = eta(-1) * q it is
+an integer in q, d, eta(-1), eta(-b) and [b = 0] (Lidl-Niederreiter,
+Finite Fields, ch. 6).  So the kernels are three tables of q integers
+indexed by the norm, plus their values at the origin, built in O(q); the
+closed-form sphere and cone transforms are functions of the norm too.
 
-Dot products are taken on F_p digits through the trace forms
-Tr(X^k * a * b) for every q = p^ell, and chi(z) = exp(2 pi i Tr(z) / p).
+The DFT is the only character enumeration here.  Its dot products are
+taken on F_p digits through the trace form Tr(a * b) for every
+q = p^ell, and chi(z) = exp(2 pi i Tr(z) / p).
 
 Two independent pipelines are kept alive on purpose.  The exact one goes
 through the integer kernel tables and `Fraction`; the numeric one goes
@@ -50,15 +52,13 @@ def _dot_bound(ctx, d: int) -> int:
     return d * ctx.ell * (ctx.p - 1)**2 + 1
 
 
-def _trace_forms(ctx) -> np.ndarray:
-    """(ell, ell, ell) array of the Gram matrices T_k[j, l] =
-    Tr(X^k * X^j * X^l) on the basis 1, X, ..., X^(ell-1) of F_q over
-    F_p, so Tr(X^k * a * b) = digits(a) . T_k . digits(b) mod p.  T_0 is
-    the trace form; it is nondegenerate, so z = 0 exactly when
-    Tr(X^k * z) = 0 for every k."""
+def _trace_form(ctx) -> np.ndarray:
+    """(ell, ell) Gram matrix T[j, l] = Tr(X^j * X^l) of the trace form on
+    the basis 1, X, ..., X^(ell-1) of F_q over F_p, so
+    Tr(a * b) = digits(a) . T . digits(b) mod p."""
     basis = [ctx.p**j for j in range(ctx.ell)]  # packed index of X^j
-    return np.array([[[ctx.trace(ctx.mul(ctx.mul(xk, a), b)) for b in basis]
-                      for a in basis] for xk in basis], dtype=np.int64)
+    return np.array([[ctx.trace(ctx.mul(a, b)) for b in basis]
+                     for a in basis], dtype=np.int64)
 
 
 def _mod_p_reader(table: np.ndarray, bound: int):
@@ -86,7 +86,7 @@ def dft_indicator(A: PointSet) -> np.ndarray:
     Returns a complex array over packed frequencies m with
     out[m] = q^(-d) sum_{x in A} chi(-m . x).
 
-    The trace is F_p-bilinear, so with T the trace form (`_trace_forms`)
+    The trace is F_p-bilinear, so with T the trace form (`_trace_form`)
     Tr(m . x) = digits(m) . (I_d (x) T) . digits(x) mod p on the F_p
     digits of the packed indices: one integer matmul per block of
     frequencies, left unreduced, and conj(chi) read through
@@ -96,7 +96,7 @@ def dft_indicator(A: PointSet) -> np.ndarray:
     ctx, d, p = A.ctx, A.d, A.ctx.p
     _check_transform_size(ctx.q, d)
     volume = ctx.q**d
-    form = np.kron(np.eye(d, dtype=np.int64), _trace_forms(ctx)[0])
+    form = np.kron(np.eye(d, dtype=np.int64), _trace_form(ctx))
     pts = (_packed_digits(ctx, d, A.packed()) @ form % p).T
     conj_chi = np.conj(np.exp(2j * cmath.pi
                               * np.arange(p, dtype=np.float64) / p))
@@ -126,10 +126,8 @@ class KernelTable:
 
     Each array has length q; an entry whose norm no nonzero vector takes
     is 0.  At v = 0 every character is 1, so the sums are the class sizes
-    origin = (|S_0|, |S_+|, |S_-|).  All values are exact integers: the
-    nonzero frequencies split into scaling classes {t * rep : t != 0}
-    that stay inside one norm class, and each class contributes q - 1
-    when rep . v = 0 and -1 otherwise.
+    origin = (|S_0|, |S_+|, |S_-|).  All values are exact integers, given
+    in closed form by `kernels_for`.
     """
 
     ctx: FieldCtx
@@ -140,60 +138,42 @@ class KernelTable:
     origin: tuple
 
 
-def _scaling_class_reps(ctx, d: int) -> np.ndarray:
-    """One representative per scaling class of nonzero vectors: the
-    vectors whose first nonzero coordinate is 1, as R = (q^d - 1) / (q - 1)
-    packed indices.  Those with `free` coordinates after the leading 1
-    pack to q^free + (0, ..., q^free - 1)."""
-    q = ctx.q
-    return np.concatenate([q**free + np.arange(q**free, dtype=np.int64)
-                           for free in range(d - 1, -1, -1)])
-
-
 def kernels_for(ctx: FieldCtx, d: int) -> KernelTable:
-    """Exact norm-indexed kernel tables for dimension d over ctx.
+    """Exact norm-indexed kernel tables for dimension d over ctx, in
+    closed form: O(q) time and memory, no character sum.
 
-    Takes one nonzero vector per norm value and sums characters against
-    it, one scaling class of frequencies at a time: O(q^d) time and O(q)
-    memory.  Uses only field arithmetic, never pair counts.  rep . v = 0
-    is tested on F_p digits as Tr(X^k * rep . v) = 0 for every k < ell,
-    reading the unreduced integer dots through `_mod_p_reader`.
+    Completing the square and G_1^2 = eta(-1) * q give, with
+    g = (eta(-1) * q)^ceil(d/2) and b = ||v|| for v != 0,
+
+      d even: K_0 = g (q [b=0] - 1) / q,  K_+ - K_- = g eta(-b);
+      d odd:  K_0 = g eta(-b) / q,  K_+ - K_- = g eta(-1) (q [b=0] - 1) / q;
+
+    and K_+ = (-K_0 + (K_+ - K_-)) / 2, K_- = (-K_0 - (K_+ - K_-)) / 2, as
+    the three sum to 0 at v != 0.  The same evaluation counts the vectors
+    of norm b as N(b) = q^(d-1) + K_0(b), which gives the class sizes at
+    the origin and the norms a nonzero vector takes, N(b) - [b=0] > 0.
+    q^d <= DFT_CAP keeps every power of q inside int64.
     """
     _check_transform_size(ctx.q, d)
-    q, p, ell = ctx.q, ctx.p, ctx.ell
-    volume = q**d
-    ntab = norm_table(ctx, d)
-    packed_reps = _scaling_class_reps(ctx, d)
-    rep_eta = ctx.eta_table[ntab[packed_reps]]
-    rep_digits = _packed_digits(ctx, d, packed_reps)
-    # the first nonzero packed vector of each norm value that occurs
-    first = np.full(q, volume, dtype=np.int64)
-    np.minimum.at(first, ntab[1:], np.arange(1, volume, dtype=np.int64))
-    norms = np.nonzero(first < volume)[0]
-    vec_digits = _packed_digits(ctx, d, first[norms]).T
-    eye = np.eye(d, dtype=np.int64)
-    # column k * len(norms) + j: Tr(X^k * m . v_j) as a form in m's digits
-    forms = np.concatenate([np.kron(eye, t) @ vec_digits % p
-                            for t in _trace_forms(ctx)], axis=1)
-    read_zero = _mod_p_reader(np.arange(p) == 0, _dot_bound(ctx, d))
-    signs = (0, 1, -1)
-    hits = {sign: np.zeros(len(norms), dtype=np.int64) for sign in signs}
-    chunk = max(1, (1 << 22) // forms.shape[1])
-    for start in range(0, len(rep_digits), chunk):
-        zero = read_zero(rep_digits[start:start + chunk] @ forms)
-        zero = zero.reshape(len(zero), ell, len(norms)).all(axis=1)
-        etas = rep_eta[start:start + chunk]
-        for sign in signs:
-            hits[sign] += zero[etas == sign].sum(axis=0)
-    tables, sizes = {}, {}
-    for sign in signs:
-        sizes[sign] = int((rep_eta == sign).sum())
-        tables[sign] = np.zeros(q, dtype=np.int64)
-        tables[sign][norms] = q * hits[sign] - sizes[sign]
-    # the origin frequency has zero norm and contributes chi(0) = 1
-    tables[0][norms] += 1
-    origin = ((q - 1) * sizes[0] + 1, (q - 1) * sizes[1], (q - 1) * sizes[-1])
-    return KernelTable(ctx, d, tables[0], tables[1], tables[-1], origin)
+    q = ctx.q
+    eta = ctx.eta_table.astype(np.int64)
+    eta_m1 = ctx.eta(ctx.neg(1))
+    g = (eta_m1 * q)**((d + 1) // 2)
+    eta_mb = eta_m1 * eta                    # eta(-b)
+    b_is_0 = np.zeros(q, dtype=np.int64)
+    b_is_0[0] = 1
+    at_zero = q * b_is_0 - 1                 # q [b=0] - 1
+    if d % 2 == 0:
+        zero, diff = g // q * at_zero, g * eta_mb
+    else:
+        zero, diff = g // q * eta_mb, g // q * eta_m1 * at_zero
+    counts = q**(d - 1) + zero               # N(b)
+    taken = counts - b_is_0 > 0
+    zero[~taken] = diff[~taken] = 0
+    origin = (int(counts[0]), int(counts[eta == 1].sum()),
+              int(counts[eta == -1].sum()))
+    return KernelTable(ctx, d, zero, (diff - zero) // 2, (-diff - zero) // 2,
+                       origin)
 
 
 @dataclass(frozen=True)
@@ -265,18 +245,13 @@ def spectral_masses_exact(A: PointSet, kernels: KernelTable) -> SpectralMass:
 def _inner_sum_table(ctx, n: int, denom_scale: int) -> np.ndarray:
     """Table over t in F_q of sum_{s != 0} eta^n(s) chi(t / (c*s)) where
     c is the field element denom_scale mod p (c = +-4 or 1 in practice).
-    chi(t * u) is read through the trace form, in O(q) memory per s."""
-    p, q = ctx.p, ctx.q
-    c = denom_scale % p
-    form = _trace_forms(ctx)[0]
-    chi = np.exp(2j * cmath.pi * np.arange(p, dtype=np.float64) / p)
-    t_digits = _packed_digits(ctx, 1, np.arange(q))
-    out = np.zeros(q, dtype=np.complex128)
-    for s in range(1, q):
-        coeff = ctx.eta(s) if n % 2 else 1
-        u = ctx.inv(ctx.mul(c, s))
-        out += coeff * chi[t_digits @ (form @ ctx.digits(u)) % p]
-    return out
+    For even n it is q [t=0] - 1; for odd n, substituting u = t / (c*s),
+    it is eta(c) eta(t) G_1."""
+    if n % 2 == 0:
+        out = np.full(ctx.q, -1.0)
+        out[0] = ctx.q - 1
+        return out
+    return ctx.eta(denom_scale % ctx.p) * gauss_closed(ctx) * ctx.eta_table
 
 
 def cone_fourier_formula(ctx, n: int) -> np.ndarray:
@@ -293,13 +268,12 @@ def cone_fourier_formula(ctx, n: int) -> np.ndarray:
 
 def sphere0_fourier_formula(ctx, d: int) -> np.ndarray:
     """Closed-form Fourier transform of the zero sphere {x : ||x|| = 0}
-    in F_q^d, as a complex array over packed frequencies m (the layout
-    of dft_indicator).  Away from m = 0 it depends only on ||m||."""
-    inner = _inner_sum_table(ctx, d, 4)
-    g1 = gauss_closed(ctx)
-    eta_m1 = ctx.eta(ctx.neg(1))
-    out = ctx.q**(-d - 1) * eta_m1**d * g1**d * inner[norm_table(ctx, d)]
-    out[0] += 1.0 / ctx.q
+    in F_q^d, as a real array over packed frequencies m (the layout of
+    dft_indicator): the zero kernel K_0(||m||) / q^d, and |S_0| / q^d at
+    m = 0."""
+    kernels = kernels_for(ctx, d)
+    out = kernels.zero[norm_table(ctx, d)] / ctx.q**d
+    out[0] = kernels.origin[0] / ctx.q**d
     return out
 
 

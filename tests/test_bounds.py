@@ -51,6 +51,34 @@ def test_odd_dimension_bound_branches():
         bound_sq_odd_dim(1, 3, 2)
 
 
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 13])
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_odd_dimension_minimum_never_takes_q_hi_n_over_2(d, q):
+    # The minimum clause once took the least of three options,
+    #   min1 = q_hi n / 2,  min2 = q_lo n / 2 + n^2 / 2,
+    #   min3 = n / 2 + q_hi n / 2 - n^2 / (2 q),
+    # with q_lo = q^((d-1)/2) and q_hi = q^((d+1)/2) = q_lo q.  For
+    # n <= q, min1 - min2 = n (q_lo (q - 1) - n) / 2 > 0, because
+    # q_lo >= q > 2 makes n < q_lo (q - 1); for n > q,
+    # min1 - min3 = n (n - q) / (2 q) > 0.  So min1 is never the least,
+    # and the two-option clause returns the same bound and label.
+    q_lo, q_hi = q**((d - 1) // 2), q**((d + 1) // 2)
+    for n in range(1, 3001):
+        # each option times 2q, in integers
+        min1 = q * q_hi * n
+        min2 = q * (q_lo * n + n * n)
+        min3 = q * n + q * q_hi * n - n * n
+        if n <= q:
+            assert n < q_lo * (q - 1)
+            assert min2 < min1
+        else:
+            assert min3 < min1
+        if parity_case(d, q) == 2:
+            best, label = min((min2, "min2"), (min3, "min3"))
+            want = Fraction(q * (n * n - q_lo * n - n) + best, 2 * q)
+            assert bound_sq_odd_dim(d, q, n) == (want, label)
+
+
 def test_even_dimension_bound_branches():
     assert bound_sq_even_dim(2, 3, 9) == (Fraction(36), "single")
     assert bound_sq_even_dim(2, 5, 25) == (Fraction(200), "large")

@@ -60,6 +60,73 @@ def test_verify_reports_injected_fault(fault, p, rebind, monkeypatch,
     assert "oracle_equivalence" in violated_checks(capsys)
 
 
+# Faults in the closed forms of the kernels and of the inner sums.  The
+# DFT of the zero sphere and of the cone, the pair counts and the direct
+# identity see the fault from outside the closed forms.
+
+class EtaMinusOneFlipped:
+    """A field context whose eta(-1) has the wrong sign."""
+
+    def __init__(self, ctx):
+        self._ctx = ctx
+
+    def __getattr__(self, name):
+        return getattr(self._ctx, name)
+
+    def eta(self, a):
+        sign = -1 if a == self._ctx.neg(1) else 1
+        return sign * self._ctx.eta(a)
+
+
+def kernel_eta_minus_one_flipped(monkeypatch, rebind, p):
+    rebind(spectral, "kernels_for", lambda real: lambda ctx, d: (
+        dataclasses.replace(real(EtaMinusOneFlipped(ctx), d), ctx=ctx)))
+
+
+def kernel_plus_minus_swapped(monkeypatch, rebind, p):
+    def swap(real):
+        def swapped(ctx, d):
+            table = real(ctx, d)
+            zero, plus, minus = table.origin
+            return dataclasses.replace(table, plus=table.minus,
+                                       minus=table.plus,
+                                       origin=(zero, minus, plus))
+        return swapped
+
+    rebind(spectral, "kernels_for", swap)
+
+
+def inner_sum_gauss_negated(monkeypatch, rebind, p):
+    # -G_1 in place of G_1 negates the tables of odd n only
+    rebind(spectral, "_inner_sum_table",
+           lambda real: lambda ctx, n, c: (-1)**n * real(ctx, n, c))
+
+
+# (fault, p, d, checks that must fail).  The full space, such as all of
+# F_3^2, would pass kernel_plus_minus_swapped: its spectrum is a point
+# mass at the origin, where S_+ and S_- have no frequency
+CLOSED_FORM_FAULTS = [
+    (kernel_eta_minus_one_flipped, 7, 3,
+     {"sphere_transform", "oracle_equivalence"}),
+    (kernel_eta_minus_one_flipped, 5, 3,
+     {"sphere_transform", "oracle_equivalence"}),
+    (kernel_plus_minus_swapped, 7, 3, {"oracle_equivalence"}),
+    (inner_sum_gauss_negated, 7, 2, {"cone_transform", "direct_identity"}),
+]
+
+
+@pytest.mark.parametrize("fault,p,d,names", CLOSED_FORM_FAULTS,
+                         ids=[f"{f.__name__}-F{p}^{d}"
+                              for f, p, d, _ in CLOSED_FORM_FAULTS])
+def test_verify_reports_a_closed_form_fault(fault, p, d, names, rebind,
+                                            monkeypatch, capsys):
+    fault(monkeypatch, rebind, p)
+    code = main(["verify", "--p", str(p), "--d", str(d), "--trials", "3",
+                 "--size-min", "10", "--size-max", "20"])
+    assert code == 2
+    assert names <= violated_checks(capsys)
+
+
 # Faults in what verify computes once per set and shares between checks.
 # Each runs on the full space F_p^3: it has pairs at every distance, and
 # it attains the sq + zr bound with equality, so a bound one too tight
@@ -146,9 +213,8 @@ def test_cone_lift_does_not_read_the_norm_table(p, ell, d, monkeypatch,
     # packed vector 1 is (0, ..., 0, 1): norm 1, a square
     table[1] = int((ctx.eta_table == -1).argmax())
     table.setflags(write=False)
+    # a cone form read from the tables would be built from this one
     monkeypatch.setitem(geometry._NORM_TABLES, (p, ell, d), table)
-    # a cone form read from the tables would be rebuilt from this one
-    monkeypatch.setattr(geometry, "_CONE_TABLES", {})
     code = main(["verify", "--p", str(p), "--ell", str(ell), "--d", str(d),
                  "--trials", "1", "--size-min", str(ctx.q**d)])
     assert code == 2

@@ -267,7 +267,6 @@ def test_extension_kernels_do_not_read_pair_tables(monkeypatch, tmp_path,
     monkeypatch.setattr(FieldCtx, "pair_tables", property(refuse))
     # rebuild the cached norm tables with the tables refused
     monkeypatch.setattr(geometry, "_NORM_TABLES", {})
-    monkeypatch.setattr(geometry, "_CONE_TABLES", {})
     incidences, expected = cone_lift_check(A, counts)
     assert incidences == want_incidences == expected
     got_arrays, got_values = results()

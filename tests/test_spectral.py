@@ -14,8 +14,8 @@ from fqdist import (PointSet, cone_fourier_formula, dft_indicator,
 from fqdist.errors import EnumerationTooLargeError, WrongParityError
 from fqdist.geometry import (_packed_digits, norm_table, pack_weights,
                              unpack_coords)
-from fqdist.spectral import (PERIODIC_CAP, _dot_bound, _mod_p_reader,
-                             _scaling_class_reps, _trace_forms)
+from fqdist.spectral import (PERIODIC_CAP, KernelTable, _dot_bound,
+                             _inner_sum_table, _mod_p_reader, _trace_form)
 
 CELLS = [(3, 1, 2), (5, 1, 2), (3, 2, 2), (3, 1, 3)]
 
@@ -68,7 +68,7 @@ def reduced_dft(A):
     Returns the transform and the largest unreduced dot product seen."""
     ctx, d, p = A.ctx, A.d, A.ctx.p
     volume = ctx.q**d
-    form = np.kron(np.eye(d, dtype=np.int64), _trace_forms(ctx)[0])
+    form = np.kron(np.eye(d, dtype=np.int64), _trace_form(ctx))
     pts = (_packed_digits(ctx, d, A.packed()) @ form % p).T
     conj_chi = np.conj(np.exp(2j * np.pi * np.arange(p, dtype=np.float64)
                               / p))
@@ -111,12 +111,97 @@ def brute_kernels(ctx, d):
     return out
 
 
+def trace_forms(ctx):
+    """(ell, ell, ell) array of the Gram matrices T_k[j, l] =
+    Tr(X^k * X^j * X^l) on the basis 1, X, ..., X^(ell-1) of F_q over
+    F_p, so Tr(X^k * a * b) = digits(a) . T_k . digits(b) mod p.  T_0 is
+    the trace form; it is nondegenerate, so z = 0 exactly when
+    Tr(X^k * z) = 0 for every k."""
+    basis = [ctx.p**j for j in range(ctx.ell)]  # packed index of X^j
+    return np.array([[[ctx.trace(ctx.mul(ctx.mul(xk, a), b)) for b in basis]
+                      for a in basis] for xk in basis], dtype=np.int64)
+
+
+def scaling_class_reps(ctx, d):
+    """One representative per scaling class of nonzero vectors: the
+    vectors whose first nonzero coordinate is 1, as R = (q^d - 1) / (q - 1)
+    packed indices.  Those with `free` coordinates after the leading 1
+    pack to q^free + (0, ..., q^free - 1)."""
+    q = ctx.q
+    return np.concatenate([q**free + np.arange(q**free, dtype=np.int64)
+                           for free in range(d - 1, -1, -1)])
+
+
+def enumerated_kernels(ctx, d):
+    """kernels_for by enumeration, as it was before the closed forms.
+
+    Takes one nonzero vector per norm value and sums characters against
+    it, one scaling class {t * rep : t != 0} of frequencies at a time:
+    each class stays inside one norm class and contributes q - 1 when
+    rep . v = 0 and -1 otherwise.  O(q^d) time and O(q) memory.
+    rep . v = 0 is tested on F_p digits as Tr(X^k * rep . v) = 0 for
+    every k < ell, reading the unreduced integer dots through
+    `_mod_p_reader`.
+    """
+    q, p, ell = ctx.q, ctx.p, ctx.ell
+    volume = q**d
+    ntab = norm_table(ctx, d)
+    packed_reps = scaling_class_reps(ctx, d)
+    rep_eta = ctx.eta_table[ntab[packed_reps]]
+    rep_digits = _packed_digits(ctx, d, packed_reps)
+    # the first nonzero packed vector of each norm value that occurs
+    first = np.full(q, volume, dtype=np.int64)
+    np.minimum.at(first, ntab[1:], np.arange(1, volume, dtype=np.int64))
+    norms = np.nonzero(first < volume)[0]
+    vec_digits = _packed_digits(ctx, d, first[norms]).T
+    eye = np.eye(d, dtype=np.int64)
+    # column k * len(norms) + j: Tr(X^k * m . v_j) as a form in m's digits
+    forms = np.concatenate([np.kron(eye, t) @ vec_digits % p
+                            for t in trace_forms(ctx)], axis=1)
+    read_zero = _mod_p_reader(np.arange(p) == 0, _dot_bound(ctx, d))
+    signs = (0, 1, -1)
+    hits = {sign: np.zeros(len(norms), dtype=np.int64) for sign in signs}
+    chunk = max(1, (1 << 22) // forms.shape[1])
+    for start in range(0, len(rep_digits), chunk):
+        zero = read_zero(rep_digits[start:start + chunk] @ forms)
+        zero = zero.reshape(len(zero), ell, len(norms)).all(axis=1)
+        etas = rep_eta[start:start + chunk]
+        for sign in signs:
+            hits[sign] += zero[etas == sign].sum(axis=0)
+    tables, sizes = {}, {}
+    for sign in signs:
+        sizes[sign] = int((rep_eta == sign).sum())
+        tables[sign] = np.zeros(q, dtype=np.int64)
+        tables[sign][norms] = q * hits[sign] - sizes[sign]
+    # the origin frequency has zero norm and contributes chi(0) = 1
+    tables[0][norms] += 1
+    origin = ((q - 1) * sizes[0] + 1, (q - 1) * sizes[1], (q - 1) * sizes[-1])
+    return KernelTable(ctx, d, tables[0], tables[1], tables[-1], origin)
+
+
+def looped_inner_sums(ctx, n, denom_scale):
+    """_inner_sum_table as it was before its closed form: sum over
+    s != 0 of eta^n(s) chi(t / (c*s)) for every t, read through the trace
+    form in O(q) memory per s."""
+    p, q = ctx.p, ctx.q
+    c = denom_scale % p
+    form = _trace_form(ctx)
+    chi = np.exp(2j * np.pi * np.arange(p, dtype=np.float64) / p)
+    t_digits = _packed_digits(ctx, 1, np.arange(q))
+    out = np.zeros(q, dtype=np.complex128)
+    for s in range(1, q):
+        coeff = ctx.eta(s) if n % 2 else 1
+        u = ctx.inv(ctx.mul(c, s))
+        out += coeff * chi[t_digits @ (form @ ctx.digits(u)) % p]
+    return out
+
+
 def dense_kernels(ctx, d):
     """Kernel tables over every packed v, one row of scaling-class dot
     products per representative: O(q^(2d-1)) time and O(q^d) memory."""
     q = ctx.q
     volume = q**d
-    packed_reps = _scaling_class_reps(ctx, d)
+    packed_reps = scaling_class_reps(ctx, d)
     reps = unpack_coords(q, d, packed_reps)
     rep_eta = ctx.eta_table[norm_table(ctx, d)[packed_reps]]
     cols = space_coords(ctx, d)
@@ -168,6 +253,39 @@ def test_norm_indexed_kernels_equal_dense_oracle(p, ell, d):
     got, want = expand(ker), dense_kernels(ctx, d)
     for sign in (0, 1, -1):
         assert np.array_equal(got[sign], want[sign])
+
+
+# fifteen cells from F_3^2 to F_11^4, d = 1 on prime and extension
+# fields, and F_11^2, where eta(-1) = -1 leaves the norm 0 to the origin
+ENUMERATED_KERNEL_CELLS = [
+    (3, 1, 2), (5, 1, 2), (7, 1, 2), (7, 1, 3), (5, 1, 3), (3, 2, 3),
+    (5, 1, 4), (3, 1, 5), (43, 1, 3), (3, 3, 2), (5, 2, 2), (3, 1, 7),
+    (3, 3, 3), (3, 4, 2), (11, 1, 4),
+    (3, 1, 1), (13, 1, 1), (3, 2, 1), (3, 3, 1),
+    (11, 1, 2),
+]
+
+
+@pytest.mark.parametrize("p,ell,d", ENUMERATED_KERNEL_CELLS)
+def test_closed_form_kernels_equal_the_enumeration(p, ell, d):
+    ctx = make_field(p, ell)
+    got, want = kernels_for(ctx, d), enumerated_kernels(ctx, d)
+    for name in ("zero", "plus", "minus"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert getattr(got, name).dtype == np.int64
+    assert got.origin == want.origin
+    assert all(type(size) is int for size in got.origin)
+
+
+@pytest.mark.parametrize("p,ell", [(3, 1), (5, 1), (7, 1), (11, 1), (13, 1),
+                                   (3, 2), (5, 2), (7, 2), (3, 3), (3, 4)])
+def test_closed_form_inner_sums_equal_the_loop(p, ell):
+    ctx = make_field(p, ell)
+    for n in range(1, 7):
+        for c in (4, -4, 1):
+            got = _inner_sum_table(ctx, n, c)
+            assert got.shape == (ctx.q,)
+            assert np.abs(got - looped_inner_sums(ctx, n, c)).max() < 1e-12
 
 
 @pytest.mark.parametrize("p,ell,d", CELLS + [(7, 1, 2), (5, 1, 3)])
@@ -264,17 +382,15 @@ def test_mod_p_reader_reads_the_residue(p, bound):
                                    (7, 2)])
 def test_trace_form_is_the_trace_of_products(p, ell):
     ctx = make_field(p, ell)
-    forms = _trace_forms(ctx)
-    assert forms.shape == (ell, ell, ell)
+    T = _trace_form(ctx)
+    assert T.shape == (ell, ell)
+    assert np.array_equal(T, T.T)
+    assert np.array_equal(T, trace_forms(ctx)[0])
     rng = np.random.default_rng(p * ell)
-    for k, T in enumerate(forms):
-        assert np.array_equal(T, T.T)
-        xk = p**k  # packed index of X^k
-        for a, b in rng.integers(0, ctx.q, size=(40, 2)):
-            da = np.array(ctx.digits(int(a)))
-            db = np.array(ctx.digits(int(b)))
-            want = ctx.trace(ctx.mul(xk, ctx.mul(int(a), int(b))))
-            assert (da @ T @ db) % p == want
+    for a, b in rng.integers(0, ctx.q, size=(40, 2)):
+        da = np.array(ctx.digits(int(a)))
+        db = np.array(ctx.digits(int(b)))
+        assert (da @ T @ db) % p == ctx.trace(ctx.mul(int(a), int(b)))
 
 
 def test_full_space_concentrates_all_mass_at_the_origin():
@@ -358,3 +474,6 @@ def test_dft_cap():
     A = PointSet(ctx, 3, [(0, 0, 0)])
     with pytest.raises(EnumerationTooLargeError):
         dft_indicator(A)  # 101^3 frequencies is past the DFT cap
+    # the closed-form kernels keep the cap: it bounds their powers of q
+    with pytest.raises(EnumerationTooLargeError):
+        kernels_for(ctx, 3)
