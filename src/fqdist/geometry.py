@@ -24,10 +24,6 @@ from .errors import (
 
 ENUMERATION_CAP = 10 ** 7
 
-# per-(p, ell, d) cache of norm tables; contexts are canonical via
-# make_field, so the key cannot collide
-_NORM_TABLES = {}
-
 
 def pack_weights(q, d):
     return np.array([q ** (d - 1 - i) for i in range(d)], dtype=np.int64)
@@ -143,28 +139,42 @@ def _check_cap(q, d):
 
 
 def _square_values(ctx):
-    q = ctx.q
-    return np.array([ctx.mul(a, a) for a in range(q)], dtype=np.int64)
+    """squares[a] = a^2 for every element index a: a^2 mod p at ell = 1,
+    through the exp/log tables above it."""
+    if ctx.ell == 1:
+        a = np.arange(ctx.p, dtype=np.int64)
+        return a * a % ctx.p
+    squares = ctx._exp[2 * ctx._log % (ctx.q - 1)]
+    squares[0] = 0
+    return squares
 
 
 def norm_table(ctx, d):
     """Array over packed indices v of the element index of ||v||.
 
     Built dimension by dimension: with c_0 most significant, index
-    pre * q + c extends prefix norm N[pre] by c^2.
+    pre * q + c extends prefix norm N[pre] by c^2.  Nothing caches it;
+    each call builds it afresh.
     """
-    key = (ctx.p, ctx.ell, d)
-    tab = _NORM_TABLES.get(key)
-    if tab is None:
-        _check_cap(ctx.q, d)
-        q = ctx.q
-        sq = _square_values(ctx)
-        tab = sq.copy()
-        for _ in range(d - 1):
-            tab = _add_elementwise(ctx, tab[:, None], sq[None, :]).reshape(-1)
-        tab.setflags(write=False)
-        _NORM_TABLES[key] = tab
+    _check_cap(ctx.q, d)
+    squares = _square_values(ctx)
+    tab = squares
+    for _ in range(d - 1):
+        tab = _add_elementwise(ctx, tab[:, None],
+                               squares[None, :]).reshape(-1)
     return tab
+
+
+def _difference_norms(ctx, squares, X, Y):
+    """(len(X), len(Y)) array of ||x - y|| over the rows of the
+    coordinate arrays X and Y: digit differences squared through
+    `squares` (`_square_values`), summed coordinate by coordinate.
+    No norm table is read, so there is no cap on q^d."""
+    diffs = _sub_elementwise(ctx, X[:, None, :], Y[None, :, :])
+    norms = squares[diffs[..., 0]]
+    for i in range(1, X.shape[1]):
+        norms = _add_elementwise(ctx, norms, squares[diffs[..., i]])
+    return norms
 
 
 def cone_norm_table(ctx, n):
@@ -228,21 +238,20 @@ def distance_set(A):
     subset of F_q, so the scan stops as soon as all q values have been
     seen; large sets usually see every distance from the first pinned
     row.  A set that misses some value, such as a square-distance set,
-    costs all n^2 pairs.
+    costs all n^2 pairs.  Each distance is summed from the squares of
+    the coordinate differences, with no norm table, so there is no cap
+    on q^d.
     """
     n = len(A)
     if n == 0:
         raise EmptySetError("distance set of an empty point set")
     ctx, X = A.ctx, A.coords
-    ntab = norm_table(ctx, A.d)
-    weights = pack_weights(ctx.q, A.d)
+    squares = _square_values(ctx)
     seen = np.zeros(ctx.q, dtype=bool)
     cap = max(1, (1 << 21) // n)
     start, rows = 0, 1
     while start < n and not seen.all():
-        diffs = _sub_elementwise(ctx, X[start:start + rows, None, :],
-                                 X[None, :, :])
-        seen[ntab[diffs @ weights]] = True
+        seen[_difference_norms(ctx, squares, X[start:start + rows], X)] = True
         start += rows
         rows = min(2 * rows, cap)
     return set(np.flatnonzero(seen).tolist())

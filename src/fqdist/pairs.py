@@ -2,12 +2,15 @@
 square distance, at distance zero, or at a non-square distance.
 
 `count_pairs` is the brute-force side: enumerate all ordered pairs and
-classify ||x - y||.  `predict_from_spectrum` is the spectral side: the
-same three numbers reconstructed exactly, with rational arithmetic, from
-the zero / square / non-square masses of the indicator's spectrum and
-the sign table of Gauss sum powers.  The two must agree on the nose on
-every input, and the integrality of the spectral prediction is asserted
-so a broken sign or kernel fails loudly instead of rounding quietly.
+classify ||x - y||, summed from the squares of the coordinate
+differences; it reads no norm table, so it has no cap on q^d and a wrong
+`norm_table` entry cannot reach it.  `predict_from_spectrum` is the
+spectral side: the same three numbers reconstructed exactly, with
+rational arithmetic, from the zero / square / non-square masses of the
+indicator's spectrum and the sign table of Gauss sum powers.  The two
+must agree on the nose on every input, and the integrality of the
+spectral prediction is asserted so a broken sign or kernel fails loudly
+instead of rounding quietly.
 """
 
 from dataclasses import dataclass
@@ -18,9 +21,9 @@ import numpy as np
 from .characters import gauss_closed, gauss_signs
 from .errors import (EmptySetError, EnumerationTooLargeError,
                      TooManyPairsError, UnsupportedDimensionError)
-from .geometry import (ENUMERATION_CAP, PointSet, _add_elementwise,
+from .geometry import (ENUMERATION_CAP, PointSet, _difference_norms,
                        _digit_weights, _packed_digits, _square_values,
-                       _sub_elementwise, norm_table)
+                       norm_table)
 from .spectral import SpectralMass, _inner_sum_table, dft_indicator
 
 PAIR_CAP = 10**9
@@ -47,51 +50,23 @@ def _check_pair_budget(n: int):
 
 def count_pairs(A: PointSet) -> PairCounts:
     """Classify all ordered pairs of A by the quadratic class of the
-    distance, by direct enumeration: through the packed norm table, or
-    above its cap by summing the squares of the coordinates."""
+    distance, by direct enumeration in blocks of at most 2^21
+    differences.  Each distance is summed from the squares of the
+    coordinate differences; no norm table is read, so there is no cap on
+    q^d and nothing is shared with the spectral side's by-norm fold."""
     if len(A) == 0:
         raise EmptySetError("pair counts need a nonempty set")
-    ctx, d, n = A.ctx, A.d, len(A)
+    ctx, n = A.ctx, len(A)
     _check_pair_budget(n)
     pts = A.coords
-    small = ctx.q**d <= ENUMERATION_CAP
-    if small:
-        ntab = norm_table(ctx, d)
-        weights = np.array([ctx.q**(d - 1 - i) for i in range(d)],
-                           dtype=np.int64)
-    else:
-        squares = _square_values(ctx)
+    squares = _square_values(ctx)
     sq = zr = 0
-    chunk = max(1, (1 << 21) // max(n, 1))
+    chunk = max(1, (1 << 21) // n)
     for s in range(0, n, chunk):
-        diffs = _sub_elementwise(ctx, pts[s:s + chunk, None, :],
-                                 pts[None, :, :])
-        if small:
-            norms = ntab[diffs.reshape(-1, d) @ weights]
-        else:
-            norms = squares[diffs[..., 0]]
-            for i in range(1, d):
-                norms = _add_elementwise(ctx, norms, squares[diffs[..., i]])
-            norms = norms.reshape(-1)
-        etas = ctx.eta_table[norms]
-        sq += int((etas == 1).sum())
-        zr += int((norms == 0).sum())
+        norms = _difference_norms(ctx, squares, pts[s:s + chunk], pts)
+        sq += int(np.count_nonzero(ctx.eta_table[norms] == 1))
+        zr += int(np.count_nonzero(norms == 0))
     return PairCounts(sq=sq, zr=zr, nonsq=n * n - sq - zr)
-
-
-def _prefix_norms(ctx, d, squares):
-    """prefix[v] = ||v|| over packed F_q^d, as a packed element.
-
-    Built from `squares` (squares[a] = a^2) alone, adding them coordinate
-    by coordinate; the cached `norm_table` and `cone_norm_table` are not
-    read, so the cone lift shares no norm table with `count_pairs` or the
-    spectral pipeline.
-    """
-    prefix = squares
-    for _ in range(d - 1):
-        prefix = _add_elementwise(ctx, prefix[:, None],
-                                  squares[None, :]).reshape(-1)
-    return prefix
 
 
 def _cone_incidences_on_digits(A: PointSet) -> int:
@@ -99,12 +74,10 @@ def _cone_incidences_on_digits(A: PointSet) -> int:
     cone of ||.||_C, from differences of F_p digits, in row blocks of at
     most 2^18 lifted differences."""
     ctx, d, q, p = A.ctx, A.d, A.ctx.q, A.ctx.p
-    if q**d > ENUMERATION_CAP:
-        raise EnumerationTooLargeError(
-            f"q^d = {q**d} exceeds cap {ENUMERATION_CAP}")
+    # raises EnumerationTooLargeError when q^d is over its cap
+    prefix = norm_table(ctx, d)
     n_lift = len(A) * q
     squares = _square_values(ctx)
-    prefix = _prefix_norms(ctx, d, squares)
     # (x, s) in E packs to x * q + s
     lifted_packed = (A.packed()[:, None] * q + np.arange(q)).reshape(-1)
     lifted = _packed_digits(ctx, d + 1, lifted_packed).astype(np.int32)
@@ -144,12 +117,12 @@ def cone_lift_check(A: PointSet, counts: PairCounts):
     enumeration over E x E, the same for every ell: differences of F_p
     digits mod p, packed with integer matmuls, in row blocks of at most
     2^18 lifted differences.  A difference is on the cone when the norm
-    of its first d coordinates, from a table built from the squares
-    ctx.mul(a, a) with digit-wise sums mod p, equals the square of its
-    last one; when q^(d+1) is within the enumeration cap, both are folded
-    into one boolean table over packed F_q^(d+1).  It needs q^d within
-    that cap.  Nothing is shared with `count_pairs` beyond the field
-    tables; in particular no norm table is read.
+    of its first d coordinates, read from `norm_table`, equals the square
+    of its last one; when q^(d+1) is within the enumeration cap, both are
+    folded into one boolean table over packed F_q^(d+1).  It needs q^d
+    within the norm table's cap.  Nothing is shared with `count_pairs`
+    beyond the field tables and the squares: `count_pairs` reads no norm
+    table, so a wrong entry there breaks this check.
     """
     if len(A) == 0:
         raise EmptySetError("cone lift needs a nonempty set")

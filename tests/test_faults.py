@@ -13,7 +13,8 @@ import fqdist.cli as cli
 import fqdist.geometry as geometry
 import fqdist.pairs as pairs
 import fqdist.spectral as spectral
-from fqdist import GenSpec, generate, make_field, write_pointset
+from fqdist import (GenSpec, PointSet, count_pairs, generate, make_field,
+                    space_coords, write_pointset)
 from fqdist.characters import GaussSignPair
 from fqdist.cli import main
 
@@ -200,22 +201,35 @@ def test_cached_field_is_intact_after_the_eta_fault(p):
     assert (eta == 1).sum() == (eta == -1).sum() == (p - 1) // 2
 
 
-# The cone lift must not share norm code with count_pairs.  With one
-# entry of the cached norm table wrong, count_pairs and the spectral
-# pipeline see the wrong norm, while a cone lift that builds its own
-# cone from squares does not, so the two sides of the lift disagree.
+# The pair counts must not share norm code with the spectral side or the
+# cone lift.  count_pairs sums coordinate squares and reads no norm table,
+# so with one entry of every norm table wrong it still counts right, and
+# the cone lift is held to those right counts.  The spectral fold and the
+# cone lift read the table and see the wrong norm: oracle_equivalence and
+# cone_lift both fail.
 
 @pytest.mark.parametrize("p,ell,d", [(7, 1, 3), (3, 2, 2)])
-def test_cone_lift_does_not_read_the_norm_table(p, ell, d, monkeypatch,
-                                                capsys):
+def test_pair_counts_do_not_read_the_norm_table(p, ell, d, rebind, capsys):
     ctx = make_field(p, ell)
-    table = geometry.norm_table(ctx, d).copy()
-    # packed vector 1 is (0, ..., 0, 1): norm 1, a square
-    table[1] = int((ctx.eta_table == -1).argmax())
-    table.setflags(write=False)
-    # a cone form read from the tables would be built from this one
-    monkeypatch.setitem(geometry._NORM_TABLES, (p, ell, d), table)
+    full = PointSet(ctx, d, map(tuple, space_coords(ctx, d)))
+    want = count_pairs(full)
+    non_square = int((ctx.eta_table == -1).argmax())
+
+    def corrupt(real):
+        def norm_table(ctx, d):
+            table = real(ctx, d).copy()
+            # packed vector 1 is (0, ..., 0, 1): norm 1, a square
+            table[1] = non_square
+            return table
+        return norm_table
+
+    rebind(geometry, "norm_table", corrupt)
+    assert count_pairs(full) == want
     code = main(["verify", "--p", str(p), "--ell", str(ell), "--d", str(d),
                  "--trials", "1", "--size-min", str(ctx.q**d)])
     assert code == 2
-    assert "cone_lift" in violated_checks(capsys)
+    violations = {v["check"]: v for v in
+                  json.loads(capsys.readouterr().out)["violations"]}
+    assert {"oracle_equivalence", "cone_lift"} <= violations.keys()
+    assert (violations["cone_lift"]["expected"]
+            == ctx.q * (2 * want.sq + want.zr))

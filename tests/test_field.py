@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from sympy import Poly, symbols
 
 from fqdist import FqdistError, make_field
 from fqdist.errors import (BadDegreeError, DivisionByZeroError,
                            EvenCharacteristicError, FieldTooLargeError,
                            NonPrimeError)
+from fqdist.field import _find_modulus
 from fqdist.geometry import _add_elementwise, _sub_elementwise
 
 FIELDS = [(3, 1), (7, 1), (3, 2), (5, 2), (3, 3)]
@@ -63,6 +65,30 @@ class TestConstruction:
             assert len(mod) == ell + 1 and mod[-1] == 1
             for x in range(p):
                 assert sum(c * x**i for i, c in enumerate(mod)) % p != 0
+
+
+# every (p, ell) with q <= 3^8, 5^4 or 7^3, and the larger fields the tests
+# build (3^6 and 3^8 are among the first)
+MODULUS_FIELDS = ([(3, ell) for ell in range(1, 9)]
+                  + [(5, ell) for ell in range(1, 5)]
+                  + [(7, ell) for ell in range(1, 4)] + [(71, 2)])
+
+
+@pytest.mark.parametrize("p,ell", MODULUS_FIELDS)
+def test_modulus_is_the_least_irreducible_by_sympy(p, ell):
+    X = symbols("X")
+
+    def irreducible(coeffs):
+        return Poly(coeffs[::-1], X, modulus=p).is_irreducible
+
+    mod = _find_modulus(p, ell)
+    assert len(mod) == ell + 1 and mod[-1] == 1
+    assert irreducible(list(mod))
+    # every monic candidate before it, free coefficients read base p,
+    # is reducible
+    rank = sum(c * p**i for i, c in enumerate(mod[:-1]))
+    for idx in range(rank):
+        assert not irreducible([idx // p**i % p for i in range(ell)] + [1])
 
 
 @pytest.mark.parametrize("p,ell", FIELDS)

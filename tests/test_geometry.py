@@ -125,6 +125,14 @@ def test_norm_small_cases():
     assert norm(ctx9, (x,)) == 2
 
 
+@pytest.mark.parametrize("p,ell", [(3, 1), (101, 1), (3, 2), (5, 2),
+                                   (3, 3), (7, 3), (3, 6)])
+def test_square_values_match_scalar_products(p, ell):
+    ctx = make_field(p, ell)
+    assert (geometry._square_values(ctx).tolist()
+            == [ctx.mul(a, a) for a in range(ctx.q)])
+
+
 def test_norm_distributions_frozen():
     ctx3, ctx5 = make_field(3), make_field(5)
     assert Counter(norm_table(ctx3, 2).tolist()) == {0: 1, 1: 4, 2: 4}

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import fqdist.geometry as geometry
 import fqdist.pairs as pairs
 from fqdist import (FieldCtx, PointSet, cone_fourier_formula,
                     cone_lift_check, count_pairs, dft_indicator,
@@ -265,8 +264,6 @@ def test_extension_kernels_do_not_read_pair_tables(monkeypatch, tmp_path,
         raise AssertionError("pair tables were read")
 
     monkeypatch.setattr(FieldCtx, "pair_tables", property(refuse))
-    # rebuild the cached norm tables with the tables refused
-    monkeypatch.setattr(geometry, "_NORM_TABLES", {})
     incidences, expected = cone_lift_check(A, counts)
     assert incidences == want_incidences == expected
     got_arrays, got_values = results()
@@ -369,9 +366,24 @@ def test_pair_budget_guard():
         count_pairs(A)
 
 
+@pytest.mark.parametrize("p,d,size,seed", [(3, 20, 40, 20), (11, 8, 30, 8)])
+def test_pair_counts_and_distance_sets_past_the_norm_table_cap(p, d, size,
+                                                               seed):
+    ctx = make_field(p)
+    assert ctx.q**d > ENUMERATION_CAP
+    coords = np.random.default_rng(seed).integers(0, ctx.q, size=(size, d))
+    A = PointSet(ctx, d, map(tuple, coords))
+    assert len(A) == size
+    assert distance_set(A) == {
+        norm(ctx, [ctx.sub(a, b) for a, b in zip(x, y)])
+        for x in A for y in A}
+    assert count_pairs(A) == brute_pair_counts(A)
+
+
 def test_extension_field_enumeration_cap():
-    # 9^8 has no packed norm table: the squares of each difference's
-    # coordinates are summed one coordinate at a time
+    # 9^8 has no packed norm table, and count_pairs reads none: the
+    # squares of each difference's coordinates are summed one coordinate
+    # at a time
     ctx = make_field(3, 2)
     assert ctx.q**8 > ENUMERATION_CAP
     coords = np.random.default_rng(8).integers(0, ctx.q, size=(10, 8))
